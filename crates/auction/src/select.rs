@@ -38,7 +38,7 @@ pub struct SelectionResult {
 ///
 /// `Send + Sync` is a supertrait so one selector instance can drive the
 /// auction's Clarke-pivot re-selections from parallel threads (see
-/// [`crate::vcg::PivotMode`]). Selectors are stateless between calls, so
+/// [`crate::vcg::run_auction`]). Selectors are stateless between calls, so
 /// the bound is free for all the implementations here.
 pub trait Selector: Send + Sync {
     /// Pick the cheapest subset of `available` acceptable to `oracle`,

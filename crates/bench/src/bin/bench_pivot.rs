@@ -3,10 +3,9 @@
 //! The auction's dominant cost is the per-BP pivot runs (`SL_−α`). This
 //! bin measures exactly that kernel: one initial selection over the full
 //! offer, then a sample of BP withdrawals re-selected twice — cold (a
-//! from-scratch [`FeasibilityOracle`] sharing the round's verdict cache,
-//! i.e. [`poc_auction::PivotOracle::Cold`]) and warm (a [`WarmOracle`]
-//! seeded with the accepted routing, i.e. the default
-//! [`poc_auction::PivotOracle::Warm`]). Results land in a
+//! from-scratch [`FeasibilityOracle`]) and warm (a [`WarmOracle`] seeded
+//! with the accepted routing, as [`poc_auction::run_auction`] seeds its
+//! pivots). Results land in a
 //! schema-validated JSON artifact so CI and the ROADMAP's perf trajectory
 //! can diff runs.
 //!
@@ -21,19 +20,17 @@
 //! Usage: `bench_pivot` to measure, `bench_pivot --validate <path>` to
 //! re-read an emitted artifact and check its schema (exit 1 on failure).
 //! `--validate` accepts any artifact this workspace emits: the
-//! warm-vs-cold report (`"bench": "pivot"`), the mode-comparison
-//! report from the `pivot_parallel` bench (`"bench": "pivot_modes"`),
-//! the control-plane throughput report from `bench_ctrl`
+//! warm-vs-cold report (`"bench": "pivot"`), the control-plane
+//! throughput report from `bench_ctrl`
 //! (`"bench": "ctrl"`), or the packet-engine throughput report from
 //! `bench_dataplane` (`"bench": "dataplane"`).
 
 use poc_auction::{GreedySelector, Market, Selector};
 use poc_bench::report::{
-    CtrlBenchReport, DataplaneBenchReport, PivotBenchReport, PivotModesReport, PivotSample,
-    ScaleInfo,
+    CtrlBenchReport, DataplaneBenchReport, PivotBenchReport, PivotSample, ScaleInfo,
 };
 use poc_bench::{instance, paper_instance, scale_instance};
-use poc_flow::{Constraint, FeasibilityCache, FeasibilityOracle, WarmOracle};
+use poc_flow::{Constraint, FeasibilityOracle, WarmOracle};
 use std::path::Path;
 use std::time::Instant;
 
@@ -68,52 +65,34 @@ fn main() {
                 return;
             }
             Err(pivot_err) => {
-                let as_modes =
-                    PivotModesReport::read(Path::new(path)).and_then(|r| r.validate().map(|()| r));
-                match as_modes {
+                let as_ctrl =
+                    CtrlBenchReport::read(Path::new(path)).and_then(|r| r.validate().map(|()| r));
+                match as_ctrl {
                     Ok(r) => {
                         println!(
-                            "{path}: valid pivot_modes artifact ({} constraints on {} preset, \
-                             {} cores)",
-                            r.samples.len(),
-                            r.scale.preset,
-                            r.cores
+                            "{path}: valid ctrl artifact ({} mode, {:.2}x over baseline)",
+                            r.mode, r.speedup
                         );
                         return;
                     }
-                    Err(modes_err) => {
-                        let as_ctrl = CtrlBenchReport::read(Path::new(path))
+                    Err(ctrl_err) => {
+                        let as_dp = DataplaneBenchReport::read(Path::new(path))
                             .and_then(|r| r.validate().map(|()| r));
-                        match as_ctrl {
+                        match as_dp {
                             Ok(r) => {
                                 println!(
-                                    "{path}: valid ctrl artifact ({} mode, {:.2}x over baseline)",
-                                    r.mode, r.speedup
+                                    "{path}: valid dataplane artifact ({} mode, {:.1}M events/sec)",
+                                    r.mode,
+                                    r.events_per_sec / 1e6
                                 );
                                 return;
                             }
-                            Err(ctrl_err) => {
-                                let as_dp = DataplaneBenchReport::read(Path::new(path))
-                                    .and_then(|r| r.validate().map(|()| r));
-                                match as_dp {
-                                    Ok(r) => {
-                                        println!(
-                                            "{path}: valid dataplane artifact ({} mode, \
-                                             {:.1}M events/sec)",
-                                            r.mode,
-                                            r.events_per_sec / 1e6
-                                        );
-                                        return;
-                                    }
-                                    Err(dp_err) => {
-                                        eprintln!("{path}: INVALID artifact");
-                                        eprintln!("  as pivot: {pivot_err}");
-                                        eprintln!("  as pivot_modes: {modes_err}");
-                                        eprintln!("  as ctrl: {ctrl_err}");
-                                        eprintln!("  as dataplane: {dp_err}");
-                                        std::process::exit(1);
-                                    }
-                                }
+                            Err(dp_err) => {
+                                eprintln!("{path}: INVALID artifact");
+                                eprintln!("  as pivot: {pivot_err}");
+                                eprintln!("  as ctrl: {ctrl_err}");
+                                eprintln!("  as dataplane: {dp_err}");
+                                std::process::exit(1);
                             }
                         }
                     }
@@ -152,11 +131,8 @@ fn main() {
     let constraint = Constraint::BaseLoad;
     let selector = GreedySelector::with_prune_budget(prune_budget);
 
-    // The round's initial selection, with the shared verdict cache every
-    // cold pivot will also use (mirrors PivotOracle::Cold in vcg).
-    let cache = FeasibilityCache::new();
-    let oracle = FeasibilityOracle::with_cache(&topo, &tm, constraint, &cache)
-        .expect("fresh cache has no binding");
+    // The round's initial selection; the cold pivots reuse its oracle.
+    let oracle = FeasibilityOracle::new(&topo, &tm, constraint);
     let t0 = Instant::now();
     let sl = selector
         .select(&market, &oracle, market.offered())
@@ -190,17 +166,13 @@ fn main() {
 
     let mut samples = Vec::new();
     let (mut total_cold_ms, mut total_warm_ms) = (0.0f64, 0.0f64);
-    let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
     for bp in sampled {
         let without = market.offered_without(bp);
 
-        let before = poc_obs::global().snapshot();
         let t = Instant::now();
         let cold = selector.select(&market, &oracle, &without);
         let cold_ms = t.elapsed().as_secs_f64() * 1e3;
         let mid = poc_obs::global().snapshot();
-        cache_hits += counter_delta(&mid, &before, "flow.cache.hit");
-        cache_misses += counter_delta(&mid, &before, "flow.cache.miss");
 
         let warm_oracle = WarmOracle::new(&topo, &tm, constraint);
         warm_oracle.seed(seed.clone());
@@ -232,7 +204,6 @@ fn main() {
         samples.push(sample);
     }
 
-    let probes = cache_hits + cache_misses;
     let report = PivotBenchReport {
         bench: "pivot".into(),
         scale,
@@ -242,15 +213,13 @@ fn main() {
         total_cold_ms,
         total_warm_ms,
         speedup: total_cold_ms / total_warm_ms,
-        cold_cache_hit_rate: if probes == 0 { 0.0 } else { cache_hits as f64 / probes as f64 },
     };
     report.validate().expect("freshly measured report must satisfy its own schema");
 
     let out = std::env::var("POC_BENCH_OUT").unwrap_or_else(|_| "BENCH_pivot.json".into());
     report.write(Path::new(&out)).expect("write artifact");
     println!(
-        "total: cold {:.0}ms vs warm {:.0}ms — {:.2}x warm speedup, cold cache hit rate {:.2} \
-         -> {out}",
-        report.total_cold_ms, report.total_warm_ms, report.speedup, report.cold_cache_hit_rate
+        "total: cold {:.0}ms vs warm {:.0}ms — {:.2}x warm speedup -> {out}",
+        report.total_cold_ms, report.total_warm_ms, report.speedup
     );
 }

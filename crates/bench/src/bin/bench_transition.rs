@@ -15,8 +15,9 @@
 //! - `POC_BENCH_QUICK=1` — CI smoke mode: small instance, fewer samples.
 //! - `POC_BENCH_PRESET=small|paper|scale` — instance preset (default
 //!   `small`, which CI's quick smoke uses; the committed artifact is
-//!   measured at `scale`; `paper` exits early — its zoo has no
-//!   acceptable link set, see `auction/examples/smoke_paper_scale.rs`).
+//!   measured at `scale`; `paper` exits early — its oracle accepts the
+//!   full offer, but greedy selection finds no subset, see
+//!   `auction/examples/smoke_paper_scale.rs`).
 //! - `POC_BENCH_OUT=path` — artifact path (default `BENCH_transition.json`).
 //!
 //! Usage: `bench_transition` to measure, `bench_transition --validate
@@ -51,7 +52,7 @@ fn selection_at(
     match run_auction(&market, &scaled, constraint, &selector) {
         Ok(out) => Some(out.selected),
         Err(e) => {
-            eprintln!("skipping headroom x{headroom}: auction infeasible ({e})");
+            eprintln!("skipping headroom x{headroom}: auction failed ({e})");
             None
         }
     }
@@ -190,10 +191,11 @@ fn main() {
     );
 
     let Some(live) = selection_at(&topo, &tm, constraint, 1.0) else {
-        // The paper-preset zoo has an empty acceptable set at every
-        // constraint (see `auction/examples/smoke_paper_scale.rs`) —
-        // there is nothing to migrate between. `small` and `scale` are
-        // the auctionable points.
+        // On the paper preset the oracle accepts the full offer, but
+        // greedy selection finds no subset at any constraint
+        // (`AuctionError::SelectionFailed`, see
+        // `auction/examples/smoke_paper_scale.rs`) — there is nothing to
+        // migrate between. `small` and `scale` are the auctionable points.
         eprintln!("preset {preset:?} has no live selection: nothing to migrate");
         std::process::exit(2);
     };

@@ -158,19 +158,13 @@ fn metrics_scrape_round_trip() {
     operator.run_auction().unwrap();
     let snap = operator.metrics().unwrap();
 
-    // The paper pipeline ran: the (default parallel) round histogram has
-    // at least this round in it, and its pivots probed the shared
-    // feasibility cache, whose stats are bridged as named counters.
-    let round = snap.histogram("auction.round.parallel").expect("round histogram");
+    // The paper pipeline ran: the round histogram has at least this round
+    // in it, and its pivots probed the oracle.
+    let round = snap.histogram("auction.round").expect("round histogram");
     assert!(round.count >= 1, "round recorded: {round:?}");
     assert!(round.sum > 0, "round took nonzero wall time");
     assert!(round.p50 <= round.p90 && round.p90 <= round.p99);
     assert!(snap.histogram("auction.pivot").expect("pivot histogram").count >= 1);
-    assert!(snap.counter("flow.cache.miss").unwrap_or(0) > 0, "pivots probed the cache");
-    // Hits depend on pivot overlap; on this small topology the bridge
-    // must at least be registered (nonzero-hit coverage lives in
-    // poc-flow's cache_stats_bridge test).
-    assert!(snap.counter("flow.cache.hit").is_some(), "hit counter bridged");
     assert!(snap.counter("flow.oracle.check").unwrap_or(0) > 0);
 
     // The control plane measured itself serving us.

@@ -98,7 +98,7 @@ fn traced_auction_round_reconstructs_end_to_end() {
     // The auction round span sits under the handler; every Clarke pivot
     // parents to the round across the parallel thread scope — one span
     // per settlement at least (withdrawn-BP re-selections).
-    let rounds = span_ids_named(trace, "auction.round.parallel");
+    let rounds = span_ids_named(trace, "auction.round");
     assert_eq!(rounds.len(), 1, "one round span: {trace:?}");
     let round = rounds[0];
     assert_eq!(round.parent_id, root.span_id);
@@ -128,7 +128,7 @@ fn traced_auction_round_reconstructs_end_to_end() {
     let back: poc_obs::chrome::ChromeTrace = serde_json::from_str(&json).unwrap();
     assert_eq!(back.traceEvents.len(), trace.events.len());
     assert!(back.traceEvents.iter().all(|e| e.ph == "X" && e.args.trace_id == trace_id));
-    assert!(back.traceEvents.iter().any(|e| e.name == "auction.round.parallel"));
+    assert!(back.traceEvents.iter().any(|e| e.name == "auction.round"));
 
     handle.shutdown();
     let _ = join.join();

@@ -34,9 +34,6 @@ pub use graph::CapacityGraph;
 pub use kpaths::{disjoint_degree, k_shortest_paths, RankedPath};
 pub use linkset::LinkSet;
 pub use maxflow::FlowError;
-pub use oracle::{
-    instance_fingerprint, AcceptabilityOracle, CacheMismatch, Constraint, FeasibilityCache,
-    FeasibilityOracle, Rejection,
-};
+pub use oracle::{AcceptabilityOracle, Constraint, FeasibilityOracle, Rejection};
 pub use route::{route_tm, RouteError, Routing};
-pub use warm::{WarmConfig, WarmOracle, WarmOutcome};
+pub use warm::{WarmOracle, WarmOutcome};

@@ -58,171 +58,12 @@ impl Constraint {
     }
 }
 
-/// A cheap fingerprint of a whole oracle instance: the topology's
-/// structural fingerprint extended with the traffic matrix and the
-/// constraint level. Two oracles agree on every acceptability verdict iff
-/// they agree on this value (up to hash collisions), which is what lets
-/// [`FeasibilityCache`] refuse cross-instance reuse instead of silently
-/// serving stale verdicts.
-pub fn instance_fingerprint(topo: &PocTopology, tm: &TrafficMatrix, constraint: Constraint) -> u64 {
-    let mut h = poc_topology::Fnv1a::new();
-    h.mix(topo.fingerprint());
-    h.mix(tm.n_routers() as u64);
-    for (src, dst, demand) in tm.iter_demands() {
-        h.mix(src.0 as u64);
-        h.mix(dst.0 as u64);
-        h.mix(demand.to_bits());
-    }
-    match constraint {
-        Constraint::BaseLoad => h.mix(1),
-        Constraint::SinglePathFailure { sample_every } => {
-            h.mix(2);
-            h.mix(sample_every as u64);
-        }
-        Constraint::AllPairsBackup => h.mix(3),
-    }
-    h.finish()
-}
-
-/// A [`FeasibilityCache`] was offered to an oracle over a different
-/// `(topology, traffic matrix, constraint)` instance than the one it is
-/// bound to. Reusing it would silently serve verdicts computed for
-/// another instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CacheMismatch {
-    /// Fingerprint the cache is bound to.
-    pub bound: u64,
-    /// Fingerprint of the instance that tried to attach.
-    pub offered: u64,
-}
-
-impl std::fmt::Display for CacheMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "feasibility cache bound to instance {:#018x} offered to instance {:#018x}",
-            self.bound, self.offered
-        )
-    }
-}
-
-impl std::error::Error for CacheMismatch {}
-
-/// Shared memo of acceptability verdicts, keyed by the candidate
-/// [`LinkSet`].
-///
-/// A verdict is a pure function of `(topo, tm, constraint, links)`, so a
-/// cache is only valid for oracles over the same instance. The cache
-/// *enforces* that contract: it binds to the [`instance_fingerprint`] of
-/// the first instance that attaches (or the one given to
-/// [`FeasibilityCache::for_instance`]), and
-/// [`FeasibilityOracle::with_cache`] returns a typed [`CacheMismatch`] —
-/// and bumps the `flow.cache.mismatch` counter — when a different
-/// instance tries to reuse it. The intended use is one cache per auction
-/// round, shared by the round's per-BP Clarke-pivot re-selections (which
-/// probe heavily overlapping link sets, sequentially or from parallel
-/// threads). Thread-safe: reads take a shared lock, inserts an exclusive
-/// one; the oracle computation itself runs outside any lock, so
-/// concurrent probes of distinct sets never serialize on each other.
-///
-/// Every lookup is bridged into the global metrics registry as the
-/// `flow.cache.hit` / `flow.cache.miss` counters (aggregated across all
-/// cache instances in the process); read those from a
-/// [`poc_obs::MetricsSnapshot`].
-pub struct FeasibilityCache {
-    verdicts: parking_lot::RwLock<std::collections::HashMap<LinkSet, bool>>,
-    /// Fingerprint of the instance this cache serves; `None` until the
-    /// first oracle attaches.
-    binding: parking_lot::Mutex<Option<u64>>,
-    /// Bridged process-wide counters (lock-free handles into the global
-    /// registry, resolved once per cache).
-    obs_hits: poc_obs::Counter,
-    obs_misses: poc_obs::Counter,
-}
-
-impl Default for FeasibilityCache {
-    fn default() -> Self {
-        Self {
-            verdicts: Default::default(),
-            binding: parking_lot::Mutex::new(None),
-            obs_hits: poc_obs::counter!("flow.cache.hit").clone(),
-            obs_misses: poc_obs::counter!("flow.cache.miss").clone(),
-        }
-    }
-}
-
-impl FeasibilityCache {
-    /// An unbound cache: it binds to the first instance that attaches via
-    /// [`FeasibilityOracle::with_cache`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A cache pre-bound to `(topo, tm, constraint)`; attaching an oracle
-    /// over any other instance is a [`CacheMismatch`].
-    pub fn for_instance(topo: &PocTopology, tm: &TrafficMatrix, constraint: Constraint) -> Self {
-        let cache = Self::new();
-        *cache.binding.lock() = Some(instance_fingerprint(topo, tm, constraint));
-        cache
-    }
-
-    /// The instance fingerprint this cache is bound to, if any.
-    pub fn bound_to(&self) -> Option<u64> {
-        *self.binding.lock()
-    }
-
-    /// Bind to `fingerprint`, or verify an existing binding. A mismatch is
-    /// recorded on the `flow.cache.mismatch` counter.
-    fn attach(&self, fingerprint: u64) -> Result<(), CacheMismatch> {
-        let mut binding = self.binding.lock();
-        match *binding {
-            None => {
-                *binding = Some(fingerprint);
-                Ok(())
-            }
-            Some(bound) if bound == fingerprint => Ok(()),
-            Some(bound) => {
-                poc_obs::counter!("flow.cache.mismatch").inc();
-                Err(CacheMismatch { bound, offered: fingerprint })
-            }
-        }
-    }
-
-    /// Cached verdict for `links`, or `None` when it has not been computed.
-    pub fn lookup(&self, links: &LinkSet) -> Option<bool> {
-        let got = self.verdicts.read().get(links).copied();
-        match got {
-            Some(_) => self.obs_hits.inc(),
-            None => self.obs_misses.inc(),
-        };
-        got
-    }
-
-    /// Record a verdict. Idempotent: concurrent computations of the same
-    /// key insert the same value.
-    pub fn record(&self, links: &LinkSet, verdict: bool) {
-        self.verdicts.write().insert(links.clone(), verdict);
-    }
-
-    /// Number of distinct link sets memoized.
-    pub fn len(&self) -> usize {
-        self.verdicts.read().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.verdicts.read().is_empty()
-    }
-}
-
 /// The interface the auction's selectors program against: an acceptability
 /// oracle `A(OL)` over one `(topology, traffic matrix, constraint)`
 /// instance. [`FeasibilityOracle`] is the from-scratch implementation;
 /// [`crate::WarmOracle`] layers incremental re-routing on top of it for
 /// the auction's Clarke pivots.
-///
-/// `Sync` is a supertrait because the auction probes oracles from parallel
-/// pivot threads.
-pub trait AcceptabilityOracle: Sync {
+pub trait AcceptabilityOracle {
     fn topo(&self) -> &PocTopology;
 
     fn tm(&self) -> &TrafficMatrix;
@@ -263,7 +104,6 @@ pub struct FeasibilityOracle<'a> {
     topo: &'a PocTopology,
     tm: &'a TrafficMatrix,
     constraint: Constraint,
-    cache: Option<&'a FeasibilityCache>,
 }
 
 impl<'a> FeasibilityOracle<'a> {
@@ -273,22 +113,7 @@ impl<'a> FeasibilityOracle<'a> {
             topo.n_routers(),
             "traffic matrix and topology disagree on router count"
         );
-        Self { topo, tm, constraint, cache: None }
-    }
-
-    /// As [`Self::new`], with acceptability verdicts memoized in `cache`.
-    /// Binds the cache to this `(topo, tm, constraint)` instance (or
-    /// verifies an existing binding); a cache already bound to a different
-    /// instance is rejected with [`CacheMismatch`] instead of silently
-    /// serving its stale verdicts.
-    pub fn with_cache(
-        topo: &'a PocTopology,
-        tm: &'a TrafficMatrix,
-        constraint: Constraint,
-        cache: &'a FeasibilityCache,
-    ) -> Result<Self, CacheMismatch> {
-        cache.attach(instance_fingerprint(topo, tm, constraint))?;
-        Ok(Self { cache: Some(cache), ..Self::new(topo, tm, constraint) })
+        Self { topo, tm, constraint }
     }
 
     pub fn constraint(&self) -> Constraint {
@@ -304,21 +129,11 @@ impl<'a> FeasibilityOracle<'a> {
     }
 
     /// Whether `links ∈ A(OL)`: the subset carries the matrix under the
-    /// constraint. Memoized when the oracle was built
-    /// [`Self::with_cache`]. Every call counts toward the
-    /// `flow.oracle.check` metric.
+    /// constraint. Every call counts toward the `flow.oracle.check`
+    /// metric.
     pub fn acceptable(&self, links: &LinkSet) -> bool {
         poc_obs::counter!("flow.oracle.check").inc();
-        if let Some(cache) = self.cache {
-            if let Some(verdict) = cache.lookup(links) {
-                return verdict;
-            }
-            let verdict = self.evaluate(links).is_ok();
-            cache.record(links, verdict);
-            verdict
-        } else {
-            self.evaluate(links).is_ok()
-        }
+        self.evaluate(links).is_ok()
     }
 
     /// As [`Self::acceptable`], but returns the base routing on success.
@@ -471,138 +286,6 @@ mod tests {
         let tm = tm_for(&t);
         let o = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
         assert!(!o.acceptable(&LinkSet::empty(t.n_links())));
-    }
-
-    /// Candidate subsets exercising hits and misses: the full set, a
-    /// spanning-ish tree, singletons, and the empty set.
-    fn probe_sets(t: &PocTopology) -> Vec<LinkSet> {
-        let n = t.n_links();
-        let mut sets = vec![
-            LinkSet::full(n),
-            LinkSet::from_links(n, [LinkId(0), LinkId(1), LinkId(5)]),
-            LinkSet::empty(n),
-        ];
-        for l in 0..n {
-            sets.push(LinkSet::from_links(n, [LinkId::from_index(l)]));
-        }
-        sets
-    }
-
-    #[test]
-    fn cached_oracle_matches_uncached_verdicts() {
-        let t = two_bp_square();
-        let tm = tm_for(&t);
-        for c in Constraint::paper_suite(1) {
-            let plain = FeasibilityOracle::new(&t, &tm, c);
-            let cache = FeasibilityCache::new();
-            let cached = FeasibilityOracle::with_cache(&t, &tm, c, &cache).unwrap();
-            // The registry counters aggregate across every cache in the
-            // process (tests run concurrently), so measure deltas and
-            // assert ≥ this cache's contribution.
-            let before = poc_obs::global().snapshot();
-            // Two passes: the second must be served from the cache.
-            for _ in 0..2 {
-                for s in probe_sets(&t) {
-                    assert_eq!(
-                        cached.acceptable(&s),
-                        plain.acceptable(&s),
-                        "verdict mismatch under {} for {s:?}",
-                        c.label()
-                    );
-                }
-            }
-            let after = poc_obs::global().snapshot();
-            let delta =
-                |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
-            let n_sets = probe_sets(&t).len() as u64;
-            assert_eq!(cache.len() as u64, n_sets);
-            assert!(delta("flow.cache.miss") >= n_sets, "first pass misses every set");
-            assert!(delta("flow.cache.hit") >= n_sets, "second pass hits every set");
-        }
-    }
-
-    #[test]
-    fn cache_stats_bridge_into_global_registry() {
-        // The bridged counters aggregate across every cache in the
-        // process (tests run concurrently), so assert on the delta being
-        // at least this cache's contribution.
-        let t = two_bp_square();
-        let tm = tm_for(&t);
-        let before = poc_obs::global().snapshot();
-        let cache = FeasibilityCache::new();
-        let oracle = FeasibilityOracle::with_cache(&t, &tm, Constraint::BaseLoad, &cache).unwrap();
-        let full = LinkSet::full(t.n_links());
-        for _ in 0..3 {
-            oracle.acceptable(&full);
-        }
-        let after = poc_obs::global().snapshot();
-        let delta =
-            |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
-        assert!(delta("flow.cache.miss") >= 1, "first probe misses");
-        assert!(delta("flow.cache.hit") >= 2, "repeat probes hit");
-        assert!(delta("flow.oracle.check") >= 3, "every acceptable() call counted");
-    }
-
-    #[test]
-    fn cache_rejects_cross_instance_reuse() {
-        let t = two_bp_square();
-        let tm = tm_for(&t);
-        let cache = FeasibilityCache::new();
-        assert_eq!(cache.bound_to(), None, "fresh cache is unbound");
-        let _bound = FeasibilityOracle::with_cache(&t, &tm, Constraint::BaseLoad, &cache).unwrap();
-        let fp = instance_fingerprint(&t, &tm, Constraint::BaseLoad);
-        assert_eq!(cache.bound_to(), Some(fp), "first attach binds the cache");
-
-        // Same instance re-attaches fine (the round's per-pivot oracles).
-        assert!(FeasibilityOracle::with_cache(&t, &tm, Constraint::BaseLoad, &cache).is_ok());
-
-        let before = poc_obs::global().snapshot();
-        // Different constraint: different verdict function, must be refused.
-        let err = match FeasibilityOracle::with_cache(&t, &tm, Constraint::AllPairsBackup, &cache) {
-            Err(e) => e,
-            Ok(_) => panic!("cross-constraint reuse must be refused"),
-        };
-        assert_eq!(err.bound, fp);
-        assert_ne!(err.offered, fp);
-        // Different traffic matrix: also refused.
-        let mut tm2 = tm_for(&t);
-        tm2.set(RouterId(0), RouterId(1), 999.0);
-        assert!(FeasibilityOracle::with_cache(&t, &tm2, Constraint::BaseLoad, &cache).is_err());
-        let after = poc_obs::global().snapshot();
-        let delta = after.counter("flow.cache.mismatch").unwrap_or(0)
-            - before.counter("flow.cache.mismatch").unwrap_or(0);
-        assert!(delta >= 2, "mismatches are recorded on flow.cache.mismatch");
-
-        // The binding (and the memoized verdicts) survive a rejection.
-        assert_eq!(cache.bound_to(), Some(fp));
-
-        // A pre-bound cache refuses a foreign instance outright.
-        let pre = FeasibilityCache::for_instance(&t, &tm, Constraint::AllPairsBackup);
-        assert!(FeasibilityOracle::with_cache(&t, &tm, Constraint::BaseLoad, &pre).is_err());
-        assert!(FeasibilityOracle::with_cache(&t, &tm, Constraint::AllPairsBackup, &pre).is_ok());
-    }
-
-    #[test]
-    fn cache_is_shareable_across_threads() {
-        let t = two_bp_square();
-        let tm = tm_for(&t);
-        let cache = FeasibilityCache::new();
-        let sets = probe_sets(&t);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let o = FeasibilityOracle::with_cache(&t, &tm, Constraint::BaseLoad, &cache)
-                        .unwrap();
-                    for s in &sets {
-                        o.acceptable(s);
-                    }
-                });
-            }
-        });
-        let plain = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad);
-        for s in &sets {
-            assert_eq!(cache.lookup(s), Some(plain.acceptable(s)));
-        }
     }
 
     #[test]

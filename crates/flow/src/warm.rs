@@ -18,9 +18,9 @@
 //! - **Warm accept** is final: the warm routing is a genuine feasibility
 //!   witness (capacities respected, all demands placed, resilience checked
 //!   on the warm base), so accepting on it is sound.
-//! - **Warm failure is never a rejection**: if the warm re-route fails, the
-//!   delta exceeds [`WarmConfig::max_invalid_frac`], or the warm base
-//!   fails its resilience check, the oracle falls back to a full
+//! - **Warm failure is never a rejection**: if the warm re-route fails,
+//!   more than half of the witness's flows are invalidated, or the warm
+//!   base fails its resilience check, the oracle falls back to a full
 //!   from-scratch evaluation and returns *its* verdict.
 //!
 //! Consequently `warm-accepts ⊇ cold-accepts`: the only possible
@@ -28,19 +28,14 @@
 //! cold heuristic fails to pack — i.e. the warm oracle is (weakly) more
 //! complete with respect to true feasibility, never less sound.
 //!
-//! ## Determinism and pivot parallelism
+//! ## Determinism
 //!
 //! Warm verdicts depend on the witness chain, i.e. on the probe history,
-//! so a `WarmOracle` must be *private to one pivot*: the auction seeds one
-//! oracle per pivot from the round's initial accepted routing, and the
-//! selector drives it sequentially. Because every pivot starts from the
-//! same seed and replays a deterministic probe sequence, sequential and
-//! parallel pivot modes stay bit-identical. For the same reason the warm
-//! oracle never reads or writes the round-shared [`FeasibilityCache`]
-//! (whose entries must be pure functions of the instance); it memoizes its
-//! own verdicts privately.
-//!
-//! [`FeasibilityCache`]: crate::FeasibilityCache
+//! so a `WarmOracle` is owned by one thread and driven sequentially: the
+//! auction builds one per pivot, inside the pivot's thread, seeded from
+//! the round's initial accepted routing. Because every pivot starts from
+//! the same seed and replays a deterministic probe sequence, a round's
+//! payments do not depend on thread scheduling.
 
 use crate::failure::{survives_all_pairs_backup, survives_single_path_failures, ResilienceResult};
 use crate::graph::{CapacityGraph, Dir};
@@ -49,27 +44,17 @@ use crate::oracle::{AcceptabilityOracle, Constraint, FeasibilityOracle, Rejectio
 use crate::route::{place_flow, FlowRoute, Routing};
 use poc_topology::{PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
+use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Tuning for the warm start's fallback policy.
-#[derive(Clone, Copy, Debug)]
-pub struct WarmConfig {
-    /// Fall back to a from-scratch evaluation when more than this fraction
-    /// of the witness's flows is invalidated by the candidate set: with
-    /// little left to reuse, a warm attempt only adds overhead before the
-    /// inevitable full re-route.
-    pub max_invalid_frac: f64,
-}
-
-impl Default for WarmConfig {
-    fn default() -> Self {
-        // A pivot removes one BP's links (a few percent of a paper-scale
-        // instance), so genuine pivot probes invalidate a small fraction;
-        // at half the flows invalidated, warm reuse stops paying for
-        // itself.
-        Self { max_invalid_frac: 0.5 }
-    }
-}
+/// Fall back to a from-scratch evaluation when more than this fraction of
+/// the witness's flows is invalidated by the candidate set: with little
+/// left to reuse, a warm attempt only adds overhead before the inevitable
+/// full re-route. A pivot removes one BP's links (a few percent of a
+/// paper-scale instance), so genuine pivot probes invalidate a small
+/// fraction; at half the flows invalidated, warm reuse stops paying for
+/// itself.
+const MAX_INVALID_FRAC: f64 = 0.5;
 
 /// What the warm path did for one probe (exposed for tests and metrics).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,31 +70,19 @@ pub enum WarmOutcome {
 /// [`WarmOracle::seed`] for how the auction primes it.
 pub struct WarmOracle<'a> {
     inner: FeasibilityOracle<'a>,
-    cfg: WarmConfig,
     /// Last accepted routing (the warm-start witness).
-    witness: parking_lot::Mutex<Option<Routing>>,
-    /// Private verdict memo. Not the shared [`crate::FeasibilityCache`]:
-    /// warm verdicts are witness-chain-dependent and must not leak into a
-    /// cache whose entries are assumed pure.
-    memo: parking_lot::Mutex<HashMap<LinkSet, bool>>,
+    witness: RefCell<Option<Routing>>,
+    /// Verdict memo. Warm verdicts depend on the witness chain, so the
+    /// memo is private to this oracle.
+    memo: RefCell<HashMap<LinkSet, bool>>,
 }
 
 impl<'a> WarmOracle<'a> {
     pub fn new(topo: &'a PocTopology, tm: &'a TrafficMatrix, constraint: Constraint) -> Self {
-        Self::with_config(topo, tm, constraint, WarmConfig::default())
-    }
-
-    pub fn with_config(
-        topo: &'a PocTopology,
-        tm: &'a TrafficMatrix,
-        constraint: Constraint,
-        cfg: WarmConfig,
-    ) -> Self {
         Self {
             inner: FeasibilityOracle::new(topo, tm, constraint),
-            cfg,
-            witness: parking_lot::Mutex::new(None),
-            memo: parking_lot::Mutex::new(HashMap::new()),
+            witness: RefCell::new(None),
+            memo: RefCell::new(HashMap::new()),
         }
     }
 
@@ -117,12 +90,12 @@ impl<'a> WarmOracle<'a> {
     /// round's initial accepted routing). Unseeded oracles simply answer
     /// their first probe cold and warm-start from its result.
     pub fn seed(&self, routing: Routing) {
-        *self.witness.lock() = Some(routing);
+        *self.witness.borrow_mut() = Some(routing);
     }
 
     /// Whether a witness routing is currently held.
     pub fn is_seeded(&self) -> bool {
-        self.witness.lock().is_some()
+        self.witness.borrow().is_some()
     }
 
     /// Evaluate `links`, reporting whether the warm path or the cold
@@ -130,19 +103,19 @@ impl<'a> WarmOracle<'a> {
     /// trait's `evaluate`; tests and benches use it to observe reuse.
     pub fn evaluate_traced(&self, links: &LinkSet) -> (Result<Routing, Rejection>, WarmOutcome) {
         let _span = poc_obs::span!("flow.warm.evaluate");
-        let witness = self.witness.lock().clone();
+        let witness = self.witness.borrow().clone();
         if let Some(prev) = witness {
             if let Some((routing, reused, rerouted)) = self.try_warm(links, &prev) {
                 poc_obs::counter!("flow.warm.reused_flows").add(reused as u64);
                 poc_obs::counter!("flow.warm.rerouted_flows").add(rerouted as u64);
-                *self.witness.lock() = Some(routing.clone());
+                *self.witness.borrow_mut() = Some(routing.clone());
                 return (Ok(routing), WarmOutcome::Warm { reused, rerouted });
             }
         }
         poc_obs::counter!("flow.warm.fallbacks").inc();
         let res = self.inner.evaluate(links);
         if let Ok(routing) = &res {
-            *self.witness.lock() = Some(routing.clone());
+            *self.witness.borrow_mut() = Some(routing.clone());
         }
         (res, WarmOutcome::Cold)
     }
@@ -169,7 +142,7 @@ impl<'a> WarmOracle<'a> {
                 invalidated.push(flow);
             }
         }
-        if n_flows > 0 && invalidated.len() as f64 > self.cfg.max_invalid_frac * n_flows as f64 {
+        if n_flows > 0 && invalidated.len() as f64 > MAX_INVALID_FRAC * n_flows as f64 {
             return None;
         }
 
@@ -254,11 +227,11 @@ impl AcceptabilityOracle for WarmOracle<'_> {
 
     fn acceptable(&self, links: &LinkSet) -> bool {
         poc_obs::counter!("flow.oracle.check").inc();
-        if let Some(v) = self.memo.lock().get(links) {
+        if let Some(v) = self.memo.borrow().get(links) {
             return *v;
         }
         let verdict = self.evaluate_traced(links).0.is_ok();
-        self.memo.lock().insert(links.clone(), verdict);
+        self.memo.borrow_mut().insert(links.clone(), verdict);
         verdict
     }
 
@@ -276,16 +249,16 @@ impl AcceptabilityOracle for WarmOracle<'_> {
         links: &LinkSet,
         max: usize,
     ) -> Vec<((RouterId, RouterId), String)> {
-        if self.memo.lock().get(links) == Some(&true) {
+        if self.memo.borrow().get(links) == Some(&true) {
             return Vec::new();
         }
-        let witness = self.witness.lock().clone();
+        let witness = self.witness.borrow().clone();
         if let Some(prev) = witness {
             if let Some((routing, reused, rerouted)) = self.try_warm(links, &prev) {
                 poc_obs::counter!("flow.warm.reused_flows").add(reused as u64);
                 poc_obs::counter!("flow.warm.rerouted_flows").add(rerouted as u64);
-                *self.witness.lock() = Some(routing);
-                self.memo.lock().insert(links.clone(), true);
+                *self.witness.borrow_mut() = Some(routing);
+                self.memo.borrow_mut().insert(links.clone(), true);
                 return Vec::new();
             }
         }
@@ -296,7 +269,7 @@ impl AcceptabilityOracle for WarmOracle<'_> {
     /// routing phase (reusing surviving flows, re-routing only the
     /// invalidated ones) instead of re-routing the whole matrix.
     fn witness(&self) -> Option<Routing> {
-        self.witness.lock().clone()
+        self.witness.borrow().clone()
     }
 }
 
@@ -413,13 +386,8 @@ mod tests {
         let full = LinkSet::full(t.n_links());
         let seed = FeasibilityOracle::new(&t, &tm, Constraint::BaseLoad).route(&full).unwrap();
         // Every flow invalidated (empty candidate intersects no witness
-        // path) → 100% invalid > any sane threshold → cold fallback.
-        let o = WarmOracle::with_config(
-            &t,
-            &tm,
-            Constraint::BaseLoad,
-            WarmConfig { max_invalid_frac: 0.4 },
-        );
+        // path) → 100% invalid > MAX_INVALID_FRAC → cold fallback.
+        let o = WarmOracle::new(&t, &tm, Constraint::BaseLoad);
         o.seed(seed.clone());
         // Drop every link the witness uses.
         let mut cand = full.clone();

@@ -18,13 +18,13 @@
 //!   and the [`counter!`] / [`histogram!`] / [`span!`] macros cache the
 //!   resolved handle in a per-call-site static. The parallel Clarke-pivot
 //!   path therefore pays a few relaxed atomic ops per record and nothing
-//!   else — bounded by the `pivot_parallel` bench.
+//!   else — bounded by the `obs_overhead` bench.
 //! * **One global registry.** Library crates record into
 //!   [`global()`]; it can be flipped into no-op mode with
 //!   [`MetricsRegistry::set_enabled`]`(false)`. Isolated registries
 //!   ([`MetricsRegistry::new`]) exist for tests.
 //! * **Names are dotted paths**, `<crate>.<subsystem>.<what>`:
-//!   `flow.cache.hit`, `auction.round.parallel`, `ctrl.frames.read`.
+//!   `flow.warm.fallbacks`, `auction.round`, `ctrl.frames.read`.
 //!   Histograms record nanoseconds unless the name says otherwise.
 //!
 //! # Example

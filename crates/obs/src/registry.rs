@@ -13,7 +13,7 @@
 //! The whole registry can be switched into no-op mode
 //! ([`MetricsRegistry::set_enabled`]): every handle observes the shared
 //! flag and recording collapses to one relaxed load and a branch. The
-//! `pivot_parallel` bench compares enabled vs no-op mode to bound the
+//! `obs_overhead` bench compares enabled vs no-op mode to bound the
 //! instrumentation overhead.
 
 use crate::histogram::HistogramCells;

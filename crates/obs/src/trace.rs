@@ -18,7 +18,7 @@
 //! * [`TraceCtx::current`] captures the context as a value that can be
 //!   carried into a spawned thread and re-installed with
 //!   [`TraceCtx::adopt`] — this is how pivot spans parent to the round
-//!   span across the `PivotMode::Parallel` thread-scope boundary.
+//!   span across the auction's pivot thread-scope boundary.
 //!
 //! Closed spans land in the global [`FlightRecorder`] (bounded,
 //! drop-oldest; see [`crate::ring`]), which the control plane serves via
@@ -503,7 +503,7 @@ mod tests {
             ev(1, 0, "ctrl.request.run_auction", 5_000),
             ev(2, 1, "ctrl.journal.append", 2_000),
             ev(3, 2, "ctrl.journal.fsync", 1_500),
-            ev(4, 1, "auction.round.parallel", 4_000),
+            ev(4, 1, "auction.round", 4_000),
         ];
         events.extend((0..4).map(|i| ev(10 + i, 4, "auction.pivot", 3_000_000 + i)));
         events.extend(
@@ -521,7 +521,7 @@ mod tests {
             "ctrl.request.run_auction",
             "ctrl.journal.append",
             "ctrl.journal.fsync",
-            "auction.round.parallel",
+            "auction.round",
             "auction.pivot",
         ] {
             assert!(kept.iter().any(|e| e.name == name), "skeleton span {name} survives the trim");

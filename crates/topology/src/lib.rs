@@ -28,6 +28,6 @@ pub use builder::TopologyBuilder;
 pub use cost::CostModel;
 pub use geo::Point;
 pub use ids::{BpId, LinkId, PopId, RouterId};
-pub use model::{BpNetwork, City, Fnv1a, LinkOwner, LogicalLink, PocRouter, PocTopology};
+pub use model::{BpNetwork, City, LinkOwner, LogicalLink, PocRouter, PocTopology};
 pub use stats::TopologyStats;
 pub use zoo::{ZooConfig, ZooGenerator};

@@ -178,8 +178,7 @@ impl PocTopology {
     /// A cheap structural fingerprint of this instance: FNV-1a over the
     /// structural counts, link endpoints, and link capacities. Not
     /// cryptographic — a "same instance?" check used by the control
-    /// plane's recovery path and by `poc-flow`'s feasibility cache to
-    /// refuse cross-instance reuse.
+    /// plane's recovery path.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.mix(self.n_routers() as u64);
@@ -238,32 +237,22 @@ impl PocTopology {
     }
 }
 
-/// Incremental FNV-1a hasher behind the structural fingerprints. Public so
-/// downstream crates can extend a topology fingerprint with their own state
-/// (e.g. `poc-flow` mixes in the traffic matrix and constraint to
-/// fingerprint a whole oracle instance).
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv1a(u64);
+/// Incremental FNV-1a hasher behind [`PocTopology::fingerprint`].
+struct Fnv1a(u64);
 
 impl Fnv1a {
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self(0xcbf29ce484222325)
     }
 
     /// Mix one 64-bit word into the hash.
-    pub fn mix(&mut self, v: u64) {
+    fn mix(&mut self, v: u64) {
         self.0 ^= v;
         self.0 = self.0.wrapping_mul(0x100000001b3);
     }
 
-    pub fn finish(self) -> u64 {
+    fn finish(self) -> u64 {
         self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

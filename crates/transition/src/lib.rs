@@ -16,8 +16,8 @@
 //!   [`TransitionError::NoSafePlan`] says so rather than shipping an
 //!   unsafe plan.
 //! * [`exec::execute_transition`] runs a plan round by round (consecutive
-//!   same-kind operations form an antichain whose members are verified
-//!   concurrently), applying each step through [`exec::TransitionHooks`]
+//!   same-kind operations form an antichain whose states are re-verified
+//!   in plan order), applying each step through [`exec::TransitionHooks`]
 //!   so a controller can journal it durably before touching the lease
 //!   book. Mid-flight events — link cuts, BP recalls — trigger a replan
 //!   toward the (possibly shrunken) target; when no safe forward plan

@@ -177,13 +177,7 @@ pub fn plan_transition(
     let _span = poc_obs::span!("transition.plan");
 
     let oracle = WarmOracle::new(topo, tm, constraint);
-    // The target anchors the search; its routing seeds the witness chain.
-    if let (Err(r), _) = oracle.evaluate_traced(to) {
-        return Err(TransitionError::TargetInfeasible(r));
-    }
-    // Prefer a witness near the *start* of the walk when one exists; a
-    // degraded `from` just leaves the target witness in place.
-    let _ = oracle.evaluate_traced(from);
+    seed_chain(&oracle, from, to).map_err(TransitionError::TargetInfeasible)?;
 
     let budget = from.len().max(to.len()).saturating_add(cfg.max_extra_links.unwrap_or(usize::MAX));
 
@@ -203,6 +197,22 @@ pub fn plan_transition(
     } else {
         Err(TransitionError::NoSafePlan { explored: search.explored })
     }
+}
+
+/// Seed `oracle`'s witness chain for a walk `from → to`, as the planner
+/// and the executor both do. The target anchors the search: its routing
+/// is the first witness, and its rejection is returned. Then the start's
+/// routing replaces it when `from` routes, so the walk's first probe
+/// warm-starts next to `from`; a degraded `from` just leaves the target
+/// witness in place.
+pub(crate) fn seed_chain(
+    oracle: &WarmOracle<'_>,
+    from: &LinkSet,
+    to: &LinkSet,
+) -> Result<(), Rejection> {
+    oracle.evaluate(to)?;
+    let _ = oracle.evaluate(from);
+    Ok(())
 }
 
 struct Search<'a, 'o> {

@@ -147,3 +147,37 @@ fn shrink_to_subset_is_verified_stepwise() {
         }
     }
 }
+
+/// The executor verifies a quiet plan along the planner's own witness
+/// chain, so it never rejects a state the planner proved safe. Expanding
+/// the small zoo's live selection to its ×1.5 selection is such a walk:
+/// an executor that probes it in order from an unseeded oracle lands on
+/// the cold router, which rejects a planned state, and rolls back.
+#[test]
+fn executor_commits_what_the_planner_proved_on_the_small_zoo() {
+    use poc_topology::zoo::{attach_external_isps, ExternalIspConfig};
+    use poc_topology::{CostModel, ZooConfig, ZooGenerator};
+    use poc_traffic::TrafficScenario;
+    use poc_transition::exec::NoHooks;
+    use poc_transition::{execute_transition, TransitionOutcome};
+
+    let mut topo = ZooGenerator::new(ZooConfig::small()).generate();
+    attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
+    let tm =
+        TrafficScenario { total_gbps: 2500.0, ..TrafficScenario::paper_default() }.generate(&topo);
+    let constraint = Constraint::BaseLoad;
+    let market = Market::truthful(&topo, 3.0);
+    let selector = GreedySelector::with_prune_budget(16);
+    let live = run_auction(&market, &tm, constraint, &selector).unwrap().selected;
+    let mut forecast = tm.clone();
+    forecast.scale(1.5);
+    let target = run_auction(&market, &forecast, constraint, &selector).unwrap().selected;
+
+    let cfg = PlanConfig::default();
+    let plan = plan_transition(&topo, &tm, constraint, &live, &target, &cfg).unwrap();
+    let n_steps = plan.steps.len();
+    let report = execute_transition(&topo, &tm, constraint, &cfg, plan, &mut NoHooks).unwrap();
+    assert_eq!(report.outcome, TransitionOutcome::Committed);
+    assert_eq!((report.steps_applied, report.replans), (n_steps, 0));
+    assert_eq!(report.final_state, target);
+}
