@@ -3,7 +3,7 @@
 //! forwarding-table installation, and max-min fair allocation.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use poc_bench::{instance, paper_instance};
+use poc_bench::{instance, Preset};
 use poc_core::fabric::ForwardingState;
 use poc_flow::{route_tm, CapacityGraph, LinkSet};
 use poc_netsim::fairness::{max_min_rates, AllocFlow};
@@ -11,7 +11,7 @@ use poc_topology::RouterId;
 use std::time::Duration;
 
 fn bench_linkset(c: &mut Criterion) {
-    let (topo, _) = paper_instance();
+    let (topo, _) = Preset::Paper.build();
     let n = topo.n_links();
     let full = LinkSet::full(n);
     let odd =
@@ -22,7 +22,7 @@ fn bench_linkset(c: &mut Criterion) {
 }
 
 fn bench_shortest_path(c: &mut Criterion) {
-    let (topo, _) = paper_instance();
+    let (topo, _) = Preset::Paper.build();
     let all = LinkSet::full(topo.n_links());
     let g = CapacityGraph::new(&topo, &all);
     let (src, dst) = (RouterId(0), RouterId(topo.n_routers() as u32 - 1));
@@ -43,7 +43,7 @@ fn bench_route_tm(c: &mut Criterion) {
 }
 
 fn bench_forwarding_install(c: &mut Criterion) {
-    for (label, (topo, _)) in [("small", instance()), ("paper", paper_instance())] {
+    for (label, (topo, _)) in [("small", instance()), ("paper", Preset::Paper.build())] {
         let all = LinkSet::full(topo.n_links());
         c.bench_with_input(BenchmarkId::new("forwarding_install", label), &topo, |b, topo| {
             b.iter(|| ForwardingState::install(topo, &all))

@@ -28,25 +28,29 @@
 //!
 //! Throughput on a shared box is noisy — the dominant jitter is the
 //! device-side cost of fsync, which drifts run to run. Each phase
-//! therefore runs `POC_BENCH_TRIALS` independent repetitions (fresh
-//! server, fresh state dir) and reports the **median trial by
-//! `req_per_sec`**, so one lucky or unlucky disk draw cannot set the
-//! headline in either direction.
+//! therefore runs independent trials (fresh server, fresh state dir) and
+//! reports the **median trial by `req_per_sec`**, so one lucky or unlucky
+//! disk draw cannot set the headline in either direction.
 //!
-//! Knobs (env):
-//! - `POC_BENCH_QUICK=1` — CI smoke mode: fewer clients and requests,
-//!   one trial per phase.
-//! - `POC_BENCH_CLIENTS=N` — concurrent client connections.
-//! - `POC_BENCH_REQUESTS=N` — timed mutations per client.
-//! - `POC_BENCH_TRIALS=N` — repetitions per phase (default 3 full, 1 quick).
-//! - `POC_BENCH_OUT=path` — artifact path (default `BENCH_ctrl.json`).
-//! - `POC_BENCH_STATE=dir` — parent for the per-phase state
-//!   directories (default: the system temp dir).
+//! The world is the `two_bp_square` fixture with one external ISP.
+//! Sizes (`POC_BENCH_QUICK=1` selects the CI smoke column):
+//!
+//! | | full | quick |
+//! |---|---|---|
+//! | concurrent clients (= sharded phase's shards) | 96 | 8 |
+//! | timed mutations per client | 300 | 100 |
+//! | trials per phase | 3 | 1 |
+//!
+//! Paths (env): `POC_BENCH_OUT` overrides the artifact path (default
+//! `BENCH_ctrl.json`); `POC_BENCH_STATE` is the parent of the per-phase
+//! state directories (default: the system temp dir).
 //!
 //! Usage: `bench_ctrl` to measure, `bench_ctrl --validate <path>` to
-//! re-read an emitted artifact and check its schema (exit 1 on failure).
+//! re-read an artifact of any bench and check it (exit 1 on failure,
+//! naming the failing check).
 
-use poc_bench::report::{CtrlBenchReport, CtrlPhase};
+use poc_bench::report::{validate_cli, BenchArtifact, CtrlBench, CtrlPhase, Payload, ScaleInfo};
+use poc_bench::{counter_delta, quick};
 use poc_core::poc::{Poc, PocConfig};
 use poc_ctrlplane::server::ServerConfig;
 use poc_ctrlplane::{
@@ -58,18 +62,6 @@ use poc_topology::{CostModel, RouterId};
 use poc_traffic::TrafficMatrix;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn counter_delta(
-    after: &poc_obs::MetricsSnapshot,
-    before: &poc_obs::MetricsSnapshot,
-    name: &str,
-) -> u64 {
-    after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0)
-}
 
 fn build_world() -> (poc_topology::PocTopology, TrafficMatrix) {
     let mut topo = two_bp_square();
@@ -226,30 +218,8 @@ fn run_trials(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("--validate") {
-        let path = args.get(2).map(String::as_str).unwrap_or("BENCH_ctrl.json");
-        match CtrlBenchReport::read(Path::new(path)).and_then(|r| r.validate().map(|()| r)) {
-            Ok(r) => {
-                let sharded = &r.phases[0];
-                println!(
-                    "{path}: valid ctrl artifact ({} mode, {:.0} req/s sharded, \
-                     {:.2}x over baseline, batch p50 {:.0})",
-                    r.mode, sharded.req_per_sec, r.speedup, sharded.batch_p50
-                );
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID artifact\n  as ctrl: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let quick = std::env::var_os("POC_BENCH_QUICK").is_some();
-    let clients = env_usize("POC_BENCH_CLIENTS", if quick { 8 } else { 96 });
-    let requests = env_usize("POC_BENCH_REQUESTS", if quick { 100 } else { 300 });
-    let trials = env_usize("POC_BENCH_TRIALS", if quick { 1 } else { 3 });
+    validate_cli("ctrl");
+    let (clients, requests, trials) = if quick() { (8, 100, 1) } else { (96, 300, 3) };
     let warmup = (requests / 10).max(5);
     let state_root = std::env::var("POC_BENCH_STATE")
         .map(PathBuf::from)
@@ -268,9 +238,8 @@ fn main() {
     // lock*, so the number of shards bounds how many mutations can sit
     // in one batch — shards must scale with the expected concurrency
     // (`poc serve --shards`).
-    let shards = env_usize("POC_BENCH_SHARDS", clients);
     let (mut sharded, after_sharded) =
-        run_trials("sharded", &dir("sharded"), shards, clients, requests, warmup, trials);
+        run_trials("sharded", &dir("sharded"), clients, clients, requests, warmup, trials);
     if let Some(h) = after_sharded.histogram("ctrl.journal.batch_size") {
         if h.count > 0 {
             sharded.batch_p50 = h.p50 as f64;
@@ -286,22 +255,10 @@ fn main() {
     baseline.batch_p99 = baseline.batch_mean.max(1.0);
     baseline.batch_mean = baseline.batch_mean.max(1.0);
 
-    let report = CtrlBenchReport {
-        bench: "ctrl".into(),
-        mode: if quick { "quick" } else { "full" }.into(),
-        trials,
-        speedup: sharded.req_per_sec / baseline.req_per_sec,
-        phases: vec![sharded, baseline],
-    };
-    report.validate().expect("freshly measured report must satisfy its own schema");
-
-    let out = std::env::var("POC_BENCH_OUT").unwrap_or_else(|_| "BENCH_ctrl.json".into());
-    report.write(Path::new(&out)).expect("write artifact");
-    println!(
-        "sustained durable throughput: {:.0} req/s sharded vs {:.0} req/s baseline — \
-         {:.2}x -> {out}",
-        report.phases[0].req_per_sec, report.phases[1].req_per_sec, report.speedup
-    );
+    let speedup = sharded.req_per_sec / baseline.req_per_sec;
+    let ctrl = CtrlBench { trials, speedup, phases: vec![sharded, baseline] };
+    BenchArtifact::new(ScaleInfo::of("two_bp_square", &build_world().0), Payload::Ctrl(ctrl))
+        .emit();
     let _ = std::fs::remove_dir_all(dir("sharded"));
     let _ = std::fs::remove_dir_all(dir("baseline"));
 }

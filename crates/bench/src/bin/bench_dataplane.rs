@@ -10,30 +10,33 @@
 //! headline in either direction. Results land in a schema-validated JSON
 //! artifact so CI and the ROADMAP's perf trajectory can diff runs.
 //!
-//! Knobs (env):
-//! - `POC_BENCH_QUICK=1` — CI smoke mode: small instance, short horizon.
-//! - `POC_BENCH_PRESET=small|paper|scale` — instance preset
-//!   (default `paper`: the full §3.3 instance).
-//! - `POC_BENCH_HORIZON_MS=N` — simulated horizon, milliseconds.
-//! - `POC_BENCH_TRIALS=N` — independent trials (default 3).
-//! - `POC_BENCH_OUT=path` — artifact path (default `BENCH_dataplane.json`).
+//! Sizes (`POC_BENCH_QUICK=1` selects the CI smoke column):
+//!
+//! | | full | quick |
+//! |---|---|---|
+//! | instance | `paper` (the full §3.3 instance) | `small` |
+//! | simulated horizon | 20 ms | 5 ms |
+//! | independent trials | 3 | 3 |
+//!
+//! `POC_BENCH_OUT=path` overrides the artifact path (default
+//! `BENCH_dataplane.json`).
 //!
 //! Usage: `bench_dataplane` to measure, `bench_dataplane --validate
-//! <path>` to re-read an emitted artifact and check its schema (exit 1 on
-//! failure).
+//! <path>` to re-read an artifact of any bench and check it (exit 1 on
+//! failure, naming the failing check).
 
-use poc_bench::report::{DataplaneBenchReport, DataplaneTrial, ScaleInfo};
-use poc_bench::{instance, paper_instance, scale_instance};
+use poc_bench::report::{
+    validate_cli, BenchArtifact, DataplaneBench, DataplaneTrial, Payload, ScaleInfo,
+};
+use poc_bench::{quick, Preset};
 use poc_flow::LinkSet;
 use poc_netsim::engine::{Engine, EngineConfig, SourceKind};
 use poc_topology::PocTopology;
 use poc_traffic::{TrafficMatrix, UserFlowModel};
-use std::path::Path;
 use std::time::Instant;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+/// Independent trials; the median one sets the headline.
+const TRIALS: usize = 3;
 
 fn build_engine<'t>(topo: &'t PocTopology, tm: &TrafficMatrix, horizon_ns: u64) -> Engine<'t> {
     let all = LinkSet::full(topo.n_links());
@@ -57,50 +60,11 @@ fn build_engine<'t>(topo: &'t PocTopology, tm: &TrafficMatrix, horizon_ns: u64) 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("--validate") {
-        let path = args.get(2).map(String::as_str).unwrap_or("BENCH_dataplane.json");
-        match DataplaneBenchReport::read(Path::new(path)).and_then(|r| r.validate().map(|()| r)) {
-            Ok(r) => {
-                println!(
-                    "{path}: valid dataplane artifact ({} mode, {:.1}M events/sec, \
-                     {:.1}M packets/sec, {} user flows)",
-                    r.mode,
-                    r.events_per_sec / 1e6,
-                    r.packets_per_sec / 1e6,
-                    r.n_user_flows
-                );
-                return;
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID artifact: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let quick = std::env::var_os("POC_BENCH_QUICK").is_some();
-    let preset = std::env::var("POC_BENCH_PRESET")
-        .unwrap_or_else(|_| if quick { "small" } else { "paper" }.into());
-    let horizon_ms = env_u64("POC_BENCH_HORIZON_MS", if quick { 5 } else { 20 });
-    let horizon_ns = horizon_ms * 1_000_000;
-    let n_trials = env_u64("POC_BENCH_TRIALS", 3).max(1) as usize;
-
-    let (topo, tm) = match preset.as_str() {
-        "small" => instance(),
-        "paper" => paper_instance(),
-        "scale" => scale_instance(),
-        other => {
-            eprintln!("unknown POC_BENCH_PRESET {other:?} (want small|paper|scale)");
-            std::process::exit(2);
-        }
-    };
-    let scale = ScaleInfo {
-        preset: preset.clone(),
-        n_routers: topo.n_routers(),
-        n_links: topo.n_links(),
-        n_bps: topo.bps.len(),
-    };
+    validate_cli("dataplane");
+    let (preset, horizon_ms) = if quick() { (Preset::Small, 5) } else { (Preset::Paper, 20) };
+    let horizon_ns: u64 = horizon_ms * 1_000_000;
+    let (topo, tm) = preset.build();
+    let scale = ScaleInfo::of(preset.name(), &topo);
     println!(
         "instance: preset={} routers={} links={} bps={} horizon={horizon_ms}ms",
         scale.preset, scale.n_routers, scale.n_links, scale.n_bps
@@ -113,8 +77,8 @@ fn main() {
     drop(probe);
     println!("workload: {n_sources} sources standing in for {n_user_flows} user flows");
 
-    let mut trials: Vec<(DataplaneTrial, f64)> = Vec::with_capacity(n_trials);
-    for i in 0..n_trials {
+    let mut trials: Vec<(DataplaneTrial, f64)> = Vec::with_capacity(TRIALS);
+    for i in 0..TRIALS {
         let eng = build_engine(&topo, &tm, horizon_ns);
         let start = Instant::now();
         let report = eng.run();
@@ -129,7 +93,7 @@ fn main() {
             packets_per_sec: report.packets_injected as f64 / elapsed,
         };
         println!(
-            "trial {}/{n_trials}: {} events in {:.3}s = {:.1}M events/sec",
+            "trial {}/{TRIALS}: {} events in {:.3}s = {:.1}M events/sec",
             i + 1,
             trial.events,
             trial.elapsed_s,
@@ -141,26 +105,14 @@ fn main() {
     // Median trial by event throughput sets the headline.
     trials.sort_by(|a, b| a.0.events_per_sec.total_cmp(&b.0.events_per_sec));
     let (median, availability) = trials[trials.len() / 2].clone();
-    let report = DataplaneBenchReport {
-        bench: "dataplane".into(),
-        mode: if quick { "quick" } else { "full" }.into(),
-        scale,
+    let dp = DataplaneBench {
         horizon_ns,
         n_sources,
         n_user_flows,
-        trials: trials.iter().map(|(t, _)| t.clone()).collect(),
+        trials: trials.into_iter().map(|(t, _)| t).collect(),
         events_per_sec: median.events_per_sec,
         packets_per_sec: median.packets_per_sec,
         availability,
     };
-    report.validate().expect("fresh report validates");
-
-    let out = std::env::var("POC_BENCH_OUT").unwrap_or_else(|_| "BENCH_dataplane.json".into());
-    report.write(Path::new(&out)).expect("write artifact");
-    println!(
-        "headline: {:.1}M events/sec, {:.1}M packets/sec, availability {:.4} -> {out}",
-        report.events_per_sec / 1e6,
-        report.packets_per_sec / 1e6,
-        report.availability
-    );
+    BenchArtifact::new(scale, Payload::Dataplane(dp)).emit();
 }

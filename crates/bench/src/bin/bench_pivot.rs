@@ -9,119 +9,33 @@
 //! schema-validated JSON artifact so CI and the ROADMAP's perf trajectory
 //! can diff runs.
 //!
-//! Knobs (env):
-//! - `POC_BENCH_QUICK=1` — CI smoke mode: small instance, 2 pivots.
-//! - `POC_BENCH_PRESET=small|paper|scale` — instance preset
-//!   (default `scale`: the 100-BP / 10k-link stress instance).
-//! - `POC_BENCH_PIVOTS=N` — number of BP withdrawals to sample.
-//! - `POC_BENCH_PRUNE=N` — greedy selector prune budget.
-//! - `POC_BENCH_OUT=path` — artifact path (default `BENCH_pivot.json`).
+//! Sizes (`POC_BENCH_QUICK=1` selects the CI smoke column):
+//!
+//! | | full | quick |
+//! |---|---|---|
+//! | instance | `scale` (100 BPs, 10k+ links) | `small` |
+//! | BP withdrawals sampled | 4 | 2 |
+//! | greedy prune budget | 8 | 16 |
+//!
+//! `POC_BENCH_OUT=path` overrides the artifact path (default
+//! `BENCH_pivot.json`).
 //!
 //! Usage: `bench_pivot` to measure, `bench_pivot --validate <path>` to
-//! re-read an emitted artifact and check its schema (exit 1 on failure).
-//! `--validate` accepts any artifact this workspace emits: the
-//! warm-vs-cold report (`"bench": "pivot"`), the control-plane
-//! throughput report from `bench_ctrl`
-//! (`"bench": "ctrl"`), or the packet-engine throughput report from
-//! `bench_dataplane` (`"bench": "dataplane"`).
+//! re-read an artifact of any bench and check it (exit 1 on failure,
+//! naming the failing check).
 
 use poc_auction::{GreedySelector, Market, Selector};
-use poc_bench::report::{
-    CtrlBenchReport, DataplaneBenchReport, PivotBenchReport, PivotSample, ScaleInfo,
-};
-use poc_bench::{instance, paper_instance, scale_instance};
+use poc_bench::report::{validate_cli, BenchArtifact, Payload, PivotBench, PivotSample, ScaleInfo};
+use poc_bench::{counter_delta, quick, Preset};
 use poc_flow::{Constraint, FeasibilityOracle, WarmOracle};
-use std::path::Path;
 use std::time::Instant;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn counter_delta(
-    after: &poc_obs::MetricsSnapshot,
-    before: &poc_obs::MetricsSnapshot,
-    name: &str,
-) -> u64 {
-    after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("--validate") {
-        let path = args.get(2).map(String::as_str).unwrap_or("BENCH_pivot.json");
-        // Dispatch on the discriminator: each read fails cleanly on the
-        // other schema (missing fields), so try both before giving up.
-        let as_pivot =
-            PivotBenchReport::read(Path::new(path)).and_then(|r| r.validate().map(|()| r));
-        match as_pivot {
-            Ok(r) => {
-                println!(
-                    "{path}: valid pivot artifact ({} samples on {} preset, speedup {:.2}x)",
-                    r.samples.len(),
-                    r.scale.preset,
-                    r.speedup
-                );
-                return;
-            }
-            Err(pivot_err) => {
-                let as_ctrl =
-                    CtrlBenchReport::read(Path::new(path)).and_then(|r| r.validate().map(|()| r));
-                match as_ctrl {
-                    Ok(r) => {
-                        println!(
-                            "{path}: valid ctrl artifact ({} mode, {:.2}x over baseline)",
-                            r.mode, r.speedup
-                        );
-                        return;
-                    }
-                    Err(ctrl_err) => {
-                        let as_dp = DataplaneBenchReport::read(Path::new(path))
-                            .and_then(|r| r.validate().map(|()| r));
-                        match as_dp {
-                            Ok(r) => {
-                                println!(
-                                    "{path}: valid dataplane artifact ({} mode, {:.1}M events/sec)",
-                                    r.mode,
-                                    r.events_per_sec / 1e6
-                                );
-                                return;
-                            }
-                            Err(dp_err) => {
-                                eprintln!("{path}: INVALID artifact");
-                                eprintln!("  as pivot: {pivot_err}");
-                                eprintln!("  as ctrl: {ctrl_err}");
-                                eprintln!("  as dataplane: {dp_err}");
-                                std::process::exit(1);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let quick = std::env::var_os("POC_BENCH_QUICK").is_some();
-    let preset = std::env::var("POC_BENCH_PRESET")
-        .unwrap_or_else(|_| if quick { "small" } else { "scale" }.into());
-    let n_pivots = env_usize("POC_BENCH_PIVOTS", if quick { 2 } else { 4 });
-    let prune_budget = env_usize("POC_BENCH_PRUNE", if quick { 16 } else { 8 });
-
-    let (topo, tm) = match preset.as_str() {
-        "small" => instance(),
-        "paper" => paper_instance(),
-        "scale" => scale_instance(),
-        other => {
-            eprintln!("unknown POC_BENCH_PRESET {other:?} (want small|paper|scale)");
-            std::process::exit(2);
-        }
-    };
-    let scale = ScaleInfo {
-        preset: preset.clone(),
-        n_routers: topo.n_routers(),
-        n_links: topo.n_links(),
-        n_bps: topo.bps.len(),
-    };
+    validate_cli("pivot");
+    let (preset, n_pivots, prune_budget) =
+        if quick() { (Preset::Small, 2, 16) } else { (Preset::Scale, 4, 8) };
+    let (topo, tm) = preset.build();
+    let scale = ScaleInfo::of(preset.name(), &topo);
     println!(
         "instance: preset={} routers={} links={} bps={}",
         scale.preset, scale.n_routers, scale.n_links, scale.n_bps
@@ -204,22 +118,15 @@ fn main() {
         samples.push(sample);
     }
 
-    let report = PivotBenchReport {
-        bench: "pivot".into(),
+    BenchArtifact::new(
         scale,
-        constraint: "#1".into(),
-        pivot_mode: "sequential".into(),
-        samples,
-        total_cold_ms,
-        total_warm_ms,
-        speedup: total_cold_ms / total_warm_ms,
-    };
-    report.validate().expect("freshly measured report must satisfy its own schema");
-
-    let out = std::env::var("POC_BENCH_OUT").unwrap_or_else(|_| "BENCH_pivot.json".into());
-    report.write(Path::new(&out)).expect("write artifact");
-    println!(
-        "total: cold {:.0}ms vs warm {:.0}ms — {:.2}x warm speedup -> {out}",
-        report.total_cold_ms, report.total_warm_ms, report.speedup
-    );
+        Payload::Pivot(PivotBench {
+            constraint: "#1".into(),
+            samples,
+            total_cold_ms,
+            total_warm_ms,
+            speedup: total_cold_ms / total_warm_ms,
+        }),
+    )
+    .emit();
 }

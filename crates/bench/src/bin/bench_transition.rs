@@ -11,28 +11,36 @@
 //! sample additionally cuts and recalls target links mid-walk, so the
 //! replan path is measured, not just the quiet one.
 //!
-//! Knobs (env):
-//! - `POC_BENCH_QUICK=1` — CI smoke mode: small instance, fewer samples.
-//! - `POC_BENCH_PRESET=small|paper|scale` — instance preset (default
-//!   `small`, which CI's quick smoke uses; the committed artifact is
-//!   measured at `scale`; `paper` exits early — its oracle accepts the
-//!   full offer, but greedy selection finds no subset, see
-//!   `auction/examples/smoke_paper_scale.rs`).
-//! - `POC_BENCH_OUT=path` — artifact path (default `BENCH_transition.json`).
+//! Sizes (`POC_BENCH_QUICK=1` selects the CI smoke column):
+//!
+//! | | full | quick |
+//! |---|---|---|
+//! | instance | `scale` (100 BPs, 10k+ links) | `small` |
+//! | demand headrooms | x1.5, x2, x3 | x1.5 |
+//!
+//! Each headroom yields three samples: expand, a drill with one cut and
+//! one recall, and contract. The `paper` preset is not offered: its
+//! oracle accepts the full offer, but greedy selection finds no subset
+//! (see `auction/examples/smoke_paper_scale.rs`), so there is nothing to
+//! migrate between.
+//!
+//! `POC_BENCH_OUT=path` overrides the artifact path (default
+//! `BENCH_transition.json`).
 //!
 //! Usage: `bench_transition` to measure, `bench_transition --validate
-//! <path>` to re-read an emitted artifact and check its schema (exit 1 on
-//! failure).
+//! <path>` to re-read an artifact of any bench and check it (exit 1 on
+//! failure, naming the failing check).
 
 use poc_auction::{run_auction, GreedySelector, Market};
-use poc_bench::report::{ScaleInfo, TransitionBenchReport, TransitionSample};
-use poc_bench::{instance, paper_instance, scale_instance};
+use poc_bench::report::{
+    validate_cli, BenchArtifact, Payload, ScaleInfo, TransitionBench, TransitionSample,
+};
+use poc_bench::{quick, Preset};
 use poc_flow::{Constraint, LinkSet};
 use poc_netsim::{run_transition_drill, TransitionDrillSpec};
 use poc_topology::PocTopology;
 use poc_traffic::TrafficMatrix;
 use poc_transition::{plan_transition, PlanConfig};
-use std::path::Path;
 use std::time::Instant;
 
 /// The auction's selection under `tm` scaled by `headroom`, or `None`
@@ -141,46 +149,12 @@ impl Bench<'_> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("--validate") {
-        let path = args.get(2).map(String::as_str).unwrap_or("BENCH_transition.json");
-        match TransitionBenchReport::read(Path::new(path)).and_then(|r| r.validate().map(|()| r)) {
-            Ok(r) => {
-                println!(
-                    "{path}: valid transition artifact ({} mode, {} samples, \
-                     plan {:.1}ms / run {:.1}ms total, all intermediates safe)",
-                    r.mode,
-                    r.samples.len(),
-                    r.total_plan_ms,
-                    r.total_run_ms
-                );
-                return;
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID artifact: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let quick = std::env::var_os("POC_BENCH_QUICK").is_some();
-    let preset = std::env::var("POC_BENCH_PRESET").unwrap_or_else(|_| "small".into());
-    let (topo, tm) = match preset.as_str() {
-        "small" => instance(),
-        "paper" => paper_instance(),
-        "scale" => scale_instance(),
-        other => {
-            eprintln!("unknown POC_BENCH_PRESET {other:?} (want small|paper|scale)");
-            std::process::exit(2);
-        }
-    };
+    validate_cli("transition");
+    let (preset, headrooms): (_, &[f64]) =
+        if quick() { (Preset::Small, &[1.5]) } else { (Preset::Scale, &[1.5, 2.0, 3.0]) };
+    let (topo, tm) = preset.build();
     let constraint = Constraint::BaseLoad;
-    let scale = ScaleInfo {
-        preset: preset.clone(),
-        n_routers: topo.n_routers(),
-        n_links: topo.n_links(),
-        n_bps: topo.bps.len(),
-    };
+    let scale = ScaleInfo::of(preset.name(), &topo);
     println!(
         "instance: preset={} routers={} links={} bps={} constraint={}",
         scale.preset,
@@ -191,15 +165,9 @@ fn main() {
     );
 
     let Some(live) = selection_at(&topo, &tm, constraint, 1.0) else {
-        // On the paper preset the oracle accepts the full offer, but
-        // greedy selection finds no subset at any constraint
-        // (`AuctionError::SelectionFailed`, see
-        // `auction/examples/smoke_paper_scale.rs`) — there is nothing to
-        // migrate between. `small` and `scale` are the auctionable points.
-        eprintln!("preset {preset:?} has no live selection: nothing to migrate");
+        eprintln!("preset {:?} has no live selection: nothing to migrate", preset.name());
         std::process::exit(2);
     };
-    let headrooms: &[f64] = if quick { &[1.5] } else { &[1.5, 2.0, 3.0] };
     let quiet = TransitionDrillSpec { n_cuts: 0, n_recalls: 0, at_poll: 0 };
     // Faults land at the second round boundary (after the adds round, an
     // adds-first plan's midpoint), so the sample times the mid-flight
@@ -225,23 +193,11 @@ fn main() {
         samples.extend(bench.sample(&format!("contract x{h}"), h, &target, &live, &quiet));
     }
 
-    let report = TransitionBenchReport {
-        bench: "transition".into(),
-        mode: if quick { "quick" } else { "full" }.into(),
-        scale,
+    let tb = TransitionBench {
         constraint: constraint.label().into(),
         total_plan_ms: samples.iter().map(|s| s.plan_ms).sum(),
         total_run_ms: samples.iter().map(|s| s.run_ms).sum(),
         samples,
     };
-    report.validate().expect("fresh report validates");
-
-    let out = std::env::var("POC_BENCH_OUT").unwrap_or_else(|_| "BENCH_transition.json".into());
-    report.write(Path::new(&out)).expect("write artifact");
-    println!(
-        "headline: {} samples, plan {:.1}ms / run {:.1}ms total, zero unsafe intermediates -> {out}",
-        report.samples.len(),
-        report.total_plan_ms,
-        report.total_run_ms
-    );
+    BenchArtifact::new(scale, Payload::Transition(tb)).emit();
 }

@@ -16,34 +16,59 @@ pub fn paper_scale() -> bool {
     std::env::var_os("POC_PAPER_SCALE").is_some()
 }
 
-/// The benchmark instance: small by default, paper-scale on request.
+/// Whether a `bench_*` bin runs its CI smoke sizes (`POC_BENCH_QUICK`)
+/// rather than the sizes of its committed artifact.
+pub fn quick() -> bool {
+    std::env::var_os("POC_BENCH_QUICK").is_some()
+}
+
+/// How much counter `name` grew between two registry snapshots.
+pub fn counter_delta(
+    after: &poc_obs::MetricsSnapshot,
+    before: &poc_obs::MetricsSnapshot,
+    name: &str,
+) -> u64 {
+    after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0)
+}
+
+/// The generated benchmark instances.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Preset {
+    /// Laptop scale ([`ZooConfig::small`]), 2.5 Tbps of demand.
+    Small,
+    /// The paper's §3.3 instance ([`ZooConfig::paper`]), 24 Tbps.
+    Paper,
+    /// The stress instance: 100+ BPs offering 10k+ links
+    /// ([`ZooConfig::scale`]), 24 Tbps.
+    Scale,
+}
+
+impl Preset {
+    pub fn name(self) -> &'static str {
+        match self {
+            Preset::Small => "small",
+            Preset::Paper => "paper",
+            Preset::Scale => "scale",
+        }
+    }
+
+    /// The preset's topology plus the default external ISPs, and a
+    /// gravity matrix of the preset's aggregate demand.
+    pub fn build(self) -> (PocTopology, TrafficMatrix) {
+        let (zoo, total_gbps) = match self {
+            Preset::Small => (ZooConfig::small(), 2500.0),
+            Preset::Paper => (ZooConfig::paper(), 24000.0),
+            Preset::Scale => (ZooConfig::scale(), 24000.0),
+        };
+        let mut topo = ZooGenerator::new(zoo).generate();
+        attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
+        let tm = TrafficScenario { total_gbps, ..TrafficScenario::paper_default() }.generate(&topo);
+        (topo, tm)
+    }
+}
+
+/// The criterion benches' instance: small by default, the paper's with
+/// `POC_PAPER_SCALE` set.
 pub fn instance() -> (PocTopology, TrafficMatrix) {
-    let (zoo, total) =
-        if paper_scale() { (ZooConfig::paper(), 24000.0) } else { (ZooConfig::small(), 2500.0) };
-    let mut topo = ZooGenerator::new(zoo).generate();
-    attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
-    let tm =
-        TrafficScenario { total_gbps: total, ..TrafficScenario::paper_default() }.generate(&topo);
-    (topo, tm)
-}
-
-/// Paper-scale instance regardless of the env toggle (cheap consumers
-/// like topology statistics always use the real thing).
-pub fn paper_instance() -> (PocTopology, TrafficMatrix) {
-    let mut topo = ZooGenerator::new(ZooConfig::paper()).generate();
-    attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
-    let tm = TrafficScenario::paper_default().generate(&topo);
-    (topo, tm)
-}
-
-/// The ROADMAP's stress instance: 100+ BPs offering 10k+ links
-/// ([`ZooConfig::scale`]) plus the default external ISPs, with the
-/// paper's aggregate demand. This is where warm-started pivots are
-/// supposed to pay off — `bench_pivot` measures them here.
-pub fn scale_instance() -> (PocTopology, TrafficMatrix) {
-    let mut topo = ZooGenerator::new(ZooConfig::scale()).generate();
-    attach_external_isps(&mut topo, &ExternalIspConfig::default(), &CostModel::default());
-    let tm =
-        TrafficScenario { total_gbps: 24000.0, ..TrafficScenario::paper_default() }.generate(&topo);
-    (topo, tm)
+    if paper_scale() { Preset::Paper } else { Preset::Small }.build()
 }

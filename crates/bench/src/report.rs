@@ -1,20 +1,175 @@
 //! Machine-readable bench artifacts (`BENCH_*.json`).
 //!
-//! The ROADMAP asks for a perf trajectory across PRs; these types are the
-//! schema of the artifacts the pivot benches emit. They round-trip through
-//! serde so CI can re-read an emitted file and validate it structurally
-//! (see `bench_pivot --validate`).
+//! Every bench emits one [`BenchArtifact`]: a shared header (`mode` and
+//! `scale`) plus a [`Payload`] whose variant names the bench. An artifact
+//! is parsed once, and [`BenchArtifact::validate`] runs the header checks
+//! and then the payload's own. Every bench bin's `--validate` goes through
+//! [`validate_cli`], so each of them accepts the artifact of any bench.
 
+use poc_topology::PocTopology;
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 
-/// Instance shape a report was measured on.
+/// Instance shape an artifact was measured on.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScaleInfo {
-    /// Generator preset: "small", "paper", or "scale".
+    /// Instance name: a generator preset ("small", "paper", "scale") or
+    /// a fixed fixture ("two_bp_square").
     pub preset: String,
     pub n_routers: usize,
     pub n_links: usize,
     pub n_bps: usize,
+}
+
+impl ScaleInfo {
+    pub fn of(preset: &str, topo: &PocTopology) -> Self {
+        ScaleInfo {
+            preset: preset.into(),
+            n_routers: topo.n_routers(),
+            n_links: topo.n_links(),
+            n_bps: topo.bps.len(),
+        }
+    }
+}
+
+/// One `BENCH_*.json` file.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct BenchArtifact {
+    /// "quick" (CI smoke) or "full".
+    pub mode: String,
+    pub scale: ScaleInfo,
+    pub payload: Payload,
+}
+
+/// The bench-specific part of an artifact. The variant is the artifact's
+/// one discriminator.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub enum Payload {
+    Pivot(PivotBench),
+    Ctrl(CtrlBench),
+    Dataplane(DataplaneBench),
+    Transition(TransitionBench),
+}
+
+impl Payload {
+    /// The bench's name, as in `bench_<name>` and `BENCH_<name>.json`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Payload::Pivot(_) => "pivot",
+            Payload::Ctrl(_) => "ctrl",
+            Payload::Dataplane(_) => "dataplane",
+            Payload::Transition(_) => "transition",
+        }
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        match self {
+            Payload::Pivot(p) => p.validate(),
+            Payload::Ctrl(p) => p.validate(),
+            Payload::Dataplane(p) => p.validate(),
+            Payload::Transition(p) => p.validate(),
+        }
+    }
+
+    /// One-line headline for logs.
+    fn headline(&self) -> String {
+        match self {
+            Payload::Pivot(p) => format!(
+                "{} samples, cold {:.0}ms vs warm {:.0}ms, {:.2}x warm speedup",
+                p.samples.len(),
+                p.total_cold_ms,
+                p.total_warm_ms,
+                p.speedup
+            ),
+            Payload::Ctrl(p) => format!(
+                "{:.0} req/s sharded, {:.2}x over baseline, batch p50 {:.0}",
+                p.phases[0].req_per_sec, p.speedup, p.phases[0].batch_p50
+            ),
+            Payload::Dataplane(p) => format!(
+                "{:.1}M events/sec, {:.1}M packets/sec, {} user flows, availability {:.4}",
+                p.events_per_sec / 1e6,
+                p.packets_per_sec / 1e6,
+                p.n_user_flows,
+                p.availability
+            ),
+            Payload::Transition(p) => format!(
+                "{} samples, plan {:.1}ms / run {:.1}ms total, all intermediates safe",
+                p.samples.len(),
+                p.total_plan_ms,
+                p.total_run_ms
+            ),
+        }
+    }
+}
+
+impl BenchArtifact {
+    /// A freshly measured artifact; its mode follows `POC_BENCH_QUICK`.
+    pub fn new(scale: ScaleInfo, payload: Payload) -> Self {
+        let mode = if crate::quick() { "quick" } else { "full" };
+        BenchArtifact { mode: mode.into(), scale, payload }
+    }
+
+    /// Structural validation: the header checks, then the payload's own.
+    /// The error names the failing check.
+    pub fn validate(&self) -> Result<(), String> {
+        if !matches!(self.mode.as_str(), "quick" | "full") {
+            return Err(format!("mode must be \"quick\" or \"full\", got {:?}", self.mode));
+        }
+        if self.scale.preset.is_empty() {
+            return Err("scale info names no preset".into());
+        }
+        if self.scale.n_links == 0 || self.scale.n_routers == 0 || self.scale.n_bps == 0 {
+            return Err("scale info has zero-sized instance".into());
+        }
+        self.payload.validate().map_err(|e| format!("{}: {e}", self.payload.name()))
+    }
+
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::write(path, serde_json::to_string(self).expect("artifact serializes"))
+    }
+
+    pub fn read(path: &Path) -> Result<Self, String> {
+        let raw = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
+        serde_json::from_str(&raw).map_err(|e| format!("parse {path:?}: {e}"))
+    }
+
+    /// Validate a freshly measured artifact, write it to `POC_BENCH_OUT`
+    /// (default `BENCH_<bench>.json`), and print its headline.
+    pub fn emit(&self) {
+        self.validate().expect("freshly measured artifact must validate");
+        let out = std::env::var("POC_BENCH_OUT")
+            .unwrap_or_else(|_| format!("BENCH_{}.json", self.payload.name()));
+        self.write(Path::new(&out)).expect("write artifact");
+        println!("headline: {} -> {out}", self.payload.headline());
+    }
+}
+
+/// The `--validate [path]` mode shared by every bench bin. Returns when
+/// the command line does not ask for it. Otherwise reads the artifact
+/// (default `BENCH_<bench>.json`), whichever bench emitted it, and exits
+/// 0 if it is valid or 1 naming the failing check.
+pub fn validate_cli(bench: &str) {
+    let args: Vec<String> = std::env::args().collect();
+    if args.get(1).map(String::as_str) != Some("--validate") {
+        return;
+    }
+    let path = args.get(2).cloned().unwrap_or_else(|| format!("BENCH_{bench}.json"));
+    match BenchArtifact::read(Path::new(&path)).and_then(|a| a.validate().map(|()| a)) {
+        Ok(a) => {
+            println!(
+                "{path}: valid {} artifact ({} mode, {} preset): {}",
+                a.payload.name(),
+                a.mode,
+                a.scale.preset,
+                a.payload.headline()
+            );
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("{path}: INVALID artifact: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// One sampled Clarke-pivot re-selection, timed cold then warm.
@@ -36,18 +191,12 @@ pub struct PivotSample {
     pub fallbacks: u64,
 }
 
-/// The `BENCH_pivot.json` artifact: warm-vs-cold pivot re-selections on
-/// one instance.
+/// `bench_pivot`: warm-vs-cold pivot re-selections, each sample one
+/// pivot re-selection run on its own.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PivotBenchReport {
-    /// Artifact discriminator; always "pivot".
-    pub bench: String,
-    pub scale: ScaleInfo,
+pub struct PivotBench {
     /// Paper constraint label ("#1" / "#2" / "#3").
     pub constraint: String,
-    /// Pivot scheduling the samples model ("sequential": each sample is
-    /// one pivot re-selection run on its own).
-    pub pivot_mode: String,
     pub samples: Vec<PivotSample>,
     pub total_cold_ms: f64,
     pub total_warm_ms: f64,
@@ -55,18 +204,10 @@ pub struct PivotBenchReport {
     pub speedup: f64,
 }
 
-impl PivotBenchReport {
-    /// Structural validation of an emitted artifact: the checks CI runs
-    /// against a freshly deserialized file.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.bench != "pivot" {
-            return Err(format!("bench discriminator must be \"pivot\", got {:?}", self.bench));
-        }
+impl PivotBench {
+    fn validate(&self) -> Result<(), String> {
         if self.samples.is_empty() {
             return Err("no pivot samples recorded".into());
-        }
-        if self.scale.n_links == 0 || self.scale.n_routers == 0 || self.scale.n_bps == 0 {
-            return Err("scale info has zero-sized instance".into());
         }
         for s in &self.samples {
             if !(s.cold_ms.is_finite()
@@ -82,15 +223,6 @@ impl PivotBenchReport {
         }
         Ok(())
     }
-
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, serde_json::to_string(self).expect("report serializes"))
-    }
-
-    pub fn read(path: &std::path::Path) -> Result<Self, String> {
-        let raw = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-        serde_json::from_str(&raw).map_err(|e| format!("parse {path:?}: {e}"))
-    }
 }
 
 /// One measured phase of the control-plane throughput bench: a client
@@ -98,7 +230,7 @@ impl PivotBenchReport {
 /// admission, sharded apply, group-commit journal).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CtrlPhase {
-    /// "sharded" (the PR's pipeline) or "baseline" (1 shard, the
+    /// "sharded" (the group-commit pipeline) or "baseline" (1 shard, the
     /// pre-sharding per-mutation-fsync serialization).
     pub label: String,
     /// Usage-ledger shards the server ran with.
@@ -127,14 +259,10 @@ pub struct CtrlPhase {
     pub batch_mean: f64,
 }
 
-/// The `BENCH_ctrl.json` artifact: sustained durable throughput of the
-/// sharded group-commit control plane against the serialized baseline.
+/// `bench_ctrl`: sustained durable throughput of the sharded
+/// group-commit control plane against the serialized baseline.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CtrlBenchReport {
-    /// Artifact discriminator; always "ctrl".
-    pub bench: String,
-    /// "quick" (CI load-smoke) or "full".
-    pub mode: String,
+pub struct CtrlBench {
     /// Independent repetitions per phase; each reported phase is the
     /// median trial by `req_per_sec`, so a single disk-mood outlier
     /// cannot set the headline in either direction.
@@ -144,13 +272,8 @@ pub struct CtrlBenchReport {
     pub speedup: f64,
 }
 
-impl CtrlBenchReport {
-    /// Structural validation mirroring [`PivotBenchReport::validate`]:
-    /// the checks CI's `--validate` pass runs on the emitted file.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.bench != "ctrl" {
-            return Err(format!("bench discriminator must be \"ctrl\", got {:?}", self.bench));
-        }
+impl CtrlBench {
+    fn validate(&self) -> Result<(), String> {
         if self.phases.is_empty() {
             return Err("no phases recorded".into());
         }
@@ -184,15 +307,6 @@ impl CtrlBenchReport {
         }
         Ok(())
     }
-
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, serde_json::to_string(self).expect("report serializes"))
-    }
-
-    pub fn read(path: &std::path::Path) -> Result<Self, String> {
-        let raw = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-        serde_json::from_str(&raw).map_err(|e| format!("parse {path:?}: {e}"))
-    }
 }
 
 /// One timed run of the packet engine on a fixed workload.
@@ -209,16 +323,11 @@ pub struct DataplaneTrial {
     pub packets_per_sec: f64,
 }
 
-/// The `BENCH_dataplane.json` artifact: packet-engine event throughput.
-/// The headline numbers are the median trial's, so one scheduler hiccup
-/// cannot set them in either direction.
+/// `bench_dataplane`: packet-engine event throughput. The headline
+/// numbers are the median trial's, so one scheduler hiccup cannot set
+/// them in either direction.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct DataplaneBenchReport {
-    /// Artifact discriminator; always "dataplane".
-    pub bench: String,
-    /// "quick" (CI dataplane-smoke) or "full".
-    pub mode: String,
-    pub scale: ScaleInfo,
+pub struct DataplaneBench {
     /// Simulated horizon, nanoseconds.
     pub horizon_ns: u64,
     /// Packet sources standing in for `n_user_flows` user flows.
@@ -232,18 +341,10 @@ pub struct DataplaneBenchReport {
     pub availability: f64,
 }
 
-impl DataplaneBenchReport {
-    /// Structural validation mirroring [`PivotBenchReport::validate`]:
-    /// the checks CI's `--validate` pass runs on the emitted file.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.bench != "dataplane" {
-            return Err(format!("bench discriminator must be \"dataplane\", got {:?}", self.bench));
-        }
+impl DataplaneBench {
+    fn validate(&self) -> Result<(), String> {
         if self.trials.is_empty() {
             return Err("no trials recorded".into());
-        }
-        if self.scale.n_links == 0 || self.scale.n_routers == 0 || self.scale.n_bps == 0 {
-            return Err("scale info has zero-sized instance".into());
         }
         if self.horizon_ns == 0 {
             return Err("horizon must be positive".into());
@@ -278,15 +379,6 @@ impl DataplaneBenchReport {
         }
         Ok(())
     }
-
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, serde_json::to_string(self).expect("report serializes"))
-    }
-
-    pub fn read(path: &std::path::Path) -> Result<Self, String> {
-        let raw = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-        serde_json::from_str(&raw).map_err(|e| format!("parse {path:?}: {e}"))
-    }
 }
 
 /// One planned-and-executed lease migration (optionally with faults
@@ -319,17 +411,12 @@ pub struct TransitionSample {
     pub unsafe_intermediates: u64,
 }
 
-/// The `BENCH_transition.json` artifact: safe-migration planning and
-/// execution cost, including a mid-transition failure drill. Validation
-/// doubles as the safety gate: any sample with a rejected intermediate
-/// state fails CI.
+/// `bench_transition`: safe-migration planning and execution cost,
+/// including a mid-transition failure drill. Validation doubles as the
+/// safety gate: any sample with a rejected intermediate state makes the
+/// artifact invalid.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TransitionBenchReport {
-    /// Artifact discriminator; always "transition".
-    pub bench: String,
-    /// "quick" (CI transition-smoke) or "full".
-    pub mode: String,
-    pub scale: ScaleInfo,
+pub struct TransitionBench {
     /// Paper constraint label ("#1" / "#2" / "#3").
     pub constraint: String,
     pub samples: Vec<TransitionSample>,
@@ -337,21 +424,10 @@ pub struct TransitionBenchReport {
     pub total_run_ms: f64,
 }
 
-impl TransitionBenchReport {
-    /// Structural validation mirroring [`PivotBenchReport::validate`]:
-    /// the checks CI's `--validate` pass runs on the emitted file.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.bench != "transition" {
-            return Err(format!(
-                "bench discriminator must be \"transition\", got {:?}",
-                self.bench
-            ));
-        }
+impl TransitionBench {
+    fn validate(&self) -> Result<(), String> {
         if self.samples.is_empty() {
             return Err("no transition samples recorded".into());
-        }
-        if self.scale.n_links == 0 || self.scale.n_routers == 0 || self.scale.n_bps == 0 {
-            return Err("scale info has zero-sized instance".into());
         }
         for s in &self.samples {
             if !(s.headroom.is_finite() && s.headroom > 0.0) {
@@ -381,39 +457,52 @@ impl TransitionBenchReport {
         }
         Ok(())
     }
-
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, serde_json::to_string(self).expect("report serializes"))
-    }
-
-    pub fn read(path: &std::path::Path) -> Result<Self, String> {
-        let raw = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-        serde_json::from_str(&raw).map_err(|e| format!("parse {path:?}: {e}"))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_report() -> PivotBenchReport {
-        PivotBenchReport {
-            bench: "pivot".into(),
-            scale: ScaleInfo { preset: "scale".into(), n_routers: 56, n_links: 13097, n_bps: 100 },
-            constraint: "#1".into(),
-            pivot_mode: "sequential".into(),
-            samples: vec![PivotSample {
-                bp: 3,
-                cold_ms: 100.0,
-                warm_ms: 40.0,
+    fn artifact(preset: &str, payload: Payload) -> BenchArtifact {
+        BenchArtifact {
+            mode: "quick".into(),
+            scale: ScaleInfo { preset: preset.into(), n_routers: 14, n_links: 220, n_bps: 10 },
+            payload,
+        }
+    }
+
+    /// Serialize, parse back, and validate: the path `--validate` takes.
+    fn round_trip(a: &BenchArtifact) -> BenchArtifact {
+        let back: BenchArtifact = serde_json::from_str(&serde_json::to_string(a).unwrap()).unwrap();
+        back.validate().unwrap();
+        back
+    }
+
+    fn sample_report() -> BenchArtifact {
+        artifact(
+            "scale",
+            Payload::Pivot(PivotBench {
+                constraint: "#1".into(),
+                samples: vec![PivotSample {
+                    bp: 3,
+                    cold_ms: 100.0,
+                    warm_ms: 40.0,
+                    speedup: 2.5,
+                    reused_flows: 1000,
+                    rerouted_flows: 50,
+                    fallbacks: 1,
+                }],
+                total_cold_ms: 100.0,
+                total_warm_ms: 40.0,
                 speedup: 2.5,
-                reused_flows: 1000,
-                rerouted_flows: 50,
-                fallbacks: 1,
-            }],
-            total_cold_ms: 100.0,
-            total_warm_ms: 40.0,
-            speedup: 2.5,
+            }),
+        )
+    }
+
+    fn pivot(a: &mut BenchArtifact) -> &mut PivotBench {
+        match &mut a.payload {
+            Payload::Pivot(p) => p,
+            other => panic!("not a pivot payload: {}", other.name()),
         }
     }
 
@@ -421,70 +510,77 @@ mod tests {
     fn report_round_trips_and_validates() {
         let r = sample_report();
         r.validate().unwrap();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: PivotBenchReport = serde_json::from_str(&json).unwrap();
-        back.validate().unwrap();
-        assert_eq!(back.samples.len(), 1);
-        assert_eq!(back.scale.n_links, 13097);
+        let mut back = round_trip(&r);
+        assert_eq!(pivot(&mut back).samples.len(), 1);
+        assert_eq!(back.scale.preset, "scale");
     }
 
     #[test]
     fn validation_rejects_malformed_reports() {
+        // An unknown discriminator does not parse.
+        let json =
+            serde_json::to_string(&sample_report()).unwrap().replace("\"Pivot\"", "\"Other\"");
+        assert!(serde_json::from_str::<BenchArtifact>(&json).is_err());
+
         let mut r = sample_report();
-        r.bench = "other".into();
+        pivot(&mut r).samples.clear();
         assert!(r.validate().is_err());
 
         let mut r = sample_report();
-        r.samples.clear();
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.speedup = f64::NAN;
+        pivot(&mut r).speedup = f64::NAN;
         assert!(r.validate().is_err());
     }
 
-    fn sample_ctrl_report() -> CtrlBenchReport {
-        CtrlBenchReport {
-            bench: "ctrl".into(),
-            mode: "quick".into(),
-            trials: 1,
-            phases: vec![
-                CtrlPhase {
-                    label: "sharded".into(),
-                    shards: 8,
-                    clients: 8,
-                    requests: 4000,
-                    elapsed_s: 0.5,
-                    req_per_sec: 8000.0,
-                    p50_us: 700.0,
-                    p99_us: 2100.0,
-                    busy_rejections: 0,
-                    appends: 4000,
-                    fsyncs: 900,
-                    group_commits: 900,
-                    batch_p50: 4.0,
-                    batch_p99: 8.0,
-                    batch_mean: 4.4,
-                },
-                CtrlPhase {
-                    label: "baseline".into(),
-                    shards: 1,
-                    clients: 8,
-                    requests: 800,
-                    elapsed_s: 0.6,
-                    req_per_sec: 1333.0,
-                    p50_us: 5200.0,
-                    p99_us: 9100.0,
-                    busy_rejections: 0,
-                    appends: 800,
-                    fsyncs: 800,
-                    group_commits: 800,
-                    batch_p50: 1.0,
-                    batch_p99: 1.0,
-                    batch_mean: 1.0,
-                },
-            ],
-            speedup: 6.0,
+    #[test]
+    fn header_validation_rejects_bad_mode_and_scale() {
+        let mut r = sample_report();
+        r.mode = "slow".into();
+        assert!(r.validate().unwrap_err().contains("mode"));
+
+        let mut r = sample_report();
+        r.scale.n_links = 0;
+        assert!(r.validate().unwrap_err().contains("zero-sized"));
+
+        let mut r = sample_report();
+        r.scale.preset.clear();
+        assert!(r.validate().unwrap_err().contains("preset"));
+    }
+
+    fn sample_ctrl_report() -> BenchArtifact {
+        let phase = |label: &str, shards, requests, fsyncs, batch: f64| CtrlPhase {
+            label: label.into(),
+            shards,
+            clients: 8,
+            requests,
+            elapsed_s: 0.5,
+            req_per_sec: requests as f64 / 0.5,
+            p50_us: 700.0,
+            p99_us: 2100.0,
+            busy_rejections: 0,
+            appends: requests,
+            fsyncs,
+            group_commits: fsyncs,
+            batch_p50: batch,
+            batch_p99: batch * 2.0,
+            batch_mean: batch,
+        };
+        artifact(
+            "two_bp_square",
+            Payload::Ctrl(CtrlBench {
+                trials: 1,
+                phases: vec![
+                    phase("sharded", 8, 4000, 900, 4.0),
+                    phase("baseline", 1, 800, 800, 1.0),
+                ],
+                speedup: 6.0,
+            }),
+        )
+    }
+
+    fn ctrl(a: &mut BenchArtifact) -> &mut CtrlBench {
+        match &mut a.payload {
+            Payload::Ctrl(p) => p,
+            other => panic!("not a ctrl payload: {}", other.name()),
         }
     }
 
@@ -492,71 +588,74 @@ mod tests {
     fn ctrl_report_round_trips_and_validates() {
         let r = sample_ctrl_report();
         r.validate().unwrap();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: CtrlBenchReport = serde_json::from_str(&json).unwrap();
-        back.validate().unwrap();
-        assert_eq!(back.phases.len(), 2);
-        assert_eq!(back.phases[0].shards, 8);
+        let mut back = round_trip(&r);
+        assert_eq!(ctrl(&mut back).phases.len(), 2);
+        assert_eq!(ctrl(&mut back).phases[0].shards, 8);
     }
 
     #[test]
     fn ctrl_validation_rejects_malformed_reports() {
         let mut r = sample_ctrl_report();
-        r.bench = "pivot".into();
+        ctrl(&mut r).phases.clear();
         assert!(r.validate().is_err());
 
         let mut r = sample_ctrl_report();
-        r.phases.clear();
+        ctrl(&mut r).phases[0].req_per_sec = f64::NAN;
         assert!(r.validate().is_err());
 
         let mut r = sample_ctrl_report();
-        r.phases[0].req_per_sec = f64::NAN;
+        let p = &mut ctrl(&mut r).phases[0];
+        p.p99_us = p.p50_us / 2.0;
         assert!(r.validate().is_err());
 
         let mut r = sample_ctrl_report();
-        r.phases[0].p99_us = r.phases[0].p50_us / 2.0;
+        let p = &mut ctrl(&mut r).phases[0];
+        p.fsyncs = p.appends + 1;
         assert!(r.validate().is_err());
 
         let mut r = sample_ctrl_report();
-        r.phases[0].fsyncs = r.phases[0].appends + 1;
+        ctrl(&mut r).phases[1].batch_mean = 0.5;
         assert!(r.validate().is_err());
 
         let mut r = sample_ctrl_report();
-        r.phases[1].batch_mean = 0.5;
+        ctrl(&mut r).trials = 0;
         assert!(r.validate().is_err());
 
         let mut r = sample_ctrl_report();
-        r.trials = 0;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_ctrl_report();
-        r.speedup = 0.0;
+        ctrl(&mut r).speedup = 0.0;
         assert!(r.validate().is_err());
     }
 
-    fn sample_transition_report() -> TransitionBenchReport {
-        TransitionBenchReport {
-            bench: "transition".into(),
-            mode: "quick".into(),
-            scale: ScaleInfo { preset: "small".into(), n_routers: 14, n_links: 220, n_bps: 10 },
-            constraint: "#1".into(),
-            samples: vec![TransitionSample {
-                label: "expand x1.5".into(),
-                headroom: 1.5,
-                n_from: 23,
-                n_to: 29,
-                plan_steps: 34,
-                plan_probes: 40,
-                plan_ms: 12.0,
-                run_ms: 55.0,
-                steps_applied: 34,
-                replans: 0,
-                rollbacks: 0,
-                outcome: "committed".into(),
-                unsafe_intermediates: 0,
-            }],
-            total_plan_ms: 12.0,
-            total_run_ms: 55.0,
+    fn sample_transition_report() -> BenchArtifact {
+        artifact(
+            "small",
+            Payload::Transition(TransitionBench {
+                constraint: "#1".into(),
+                samples: vec![TransitionSample {
+                    label: "expand x1.5".into(),
+                    headroom: 1.5,
+                    n_from: 23,
+                    n_to: 29,
+                    plan_steps: 34,
+                    plan_probes: 40,
+                    plan_ms: 12.0,
+                    run_ms: 55.0,
+                    steps_applied: 34,
+                    replans: 0,
+                    rollbacks: 0,
+                    outcome: "committed".into(),
+                    unsafe_intermediates: 0,
+                }],
+                total_plan_ms: 12.0,
+                total_run_ms: 55.0,
+            }),
+        )
+    }
+
+    fn transition(a: &mut BenchArtifact) -> &mut TransitionBench {
+        match &mut a.payload {
+            Payload::Transition(p) => p,
+            other => panic!("not a transition payload: {}", other.name()),
         }
     }
 
@@ -564,61 +663,63 @@ mod tests {
     fn transition_report_round_trips_and_validates() {
         let r = sample_transition_report();
         r.validate().unwrap();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: TransitionBenchReport = serde_json::from_str(&json).unwrap();
-        back.validate().unwrap();
-        assert_eq!(back.samples.len(), 1);
-        assert_eq!(back.samples[0].plan_steps, 34);
+        let mut back = round_trip(&r);
+        assert_eq!(transition(&mut back).samples.len(), 1);
+        assert_eq!(transition(&mut back).samples[0].plan_steps, 34);
     }
 
     #[test]
     fn transition_validation_rejects_malformed_reports() {
         let mut r = sample_transition_report();
-        r.bench = "pivot".into();
+        transition(&mut r).samples.clear();
         assert!(r.validate().is_err());
 
         let mut r = sample_transition_report();
-        r.samples.clear();
+        transition(&mut r).samples[0].headroom = f64::NAN;
         assert!(r.validate().is_err());
 
         let mut r = sample_transition_report();
-        r.samples[0].headroom = f64::NAN;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_transition_report();
-        r.samples[0].outcome = "exploded".into();
+        transition(&mut r).samples[0].outcome = "exploded".into();
         assert!(r.validate().is_err());
 
         // The safety gate: a rejected intermediate fails validation.
         let mut r = sample_transition_report();
-        r.samples[0].unsafe_intermediates = 1;
-        assert!(r.validate().is_err());
+        transition(&mut r).samples[0].unsafe_intermediates = 1;
+        let err = r.validate().unwrap_err();
+        assert!(err.starts_with("transition: ") && err.contains("safety invariant"), "{err}");
 
         let mut r = sample_transition_report();
-        r.total_run_ms = f64::INFINITY;
+        transition(&mut r).total_run_ms = f64::INFINITY;
         assert!(r.validate().is_err());
     }
 
-    fn sample_dataplane_report() -> DataplaneBenchReport {
-        DataplaneBenchReport {
-            bench: "dataplane".into(),
-            mode: "quick".into(),
-            scale: ScaleInfo { preset: "small".into(), n_routers: 14, n_links: 220, n_bps: 10 },
-            horizon_ns: 20_000_000,
-            n_sources: 72,
-            n_user_flows: 624_318,
-            trials: vec![DataplaneTrial {
-                events: 9_000_000,
-                packets_injected: 4_000_000,
-                packets_delivered: 1_400_000,
-                packets_dropped: 1_100_000,
-                elapsed_s: 0.5,
+    fn sample_dataplane_report() -> BenchArtifact {
+        artifact(
+            "small",
+            Payload::Dataplane(DataplaneBench {
+                horizon_ns: 20_000_000,
+                n_sources: 72,
+                n_user_flows: 624_318,
+                trials: vec![DataplaneTrial {
+                    events: 9_000_000,
+                    packets_injected: 4_000_000,
+                    packets_delivered: 1_400_000,
+                    packets_dropped: 1_100_000,
+                    elapsed_s: 0.5,
+                    events_per_sec: 18_000_000.0,
+                    packets_per_sec: 8_000_000.0,
+                }],
                 events_per_sec: 18_000_000.0,
                 packets_per_sec: 8_000_000.0,
-            }],
-            events_per_sec: 18_000_000.0,
-            packets_per_sec: 8_000_000.0,
-            availability: 0.33,
+                availability: 0.33,
+            }),
+        )
+    }
+
+    fn dataplane(a: &mut BenchArtifact) -> &mut DataplaneBench {
+        match &mut a.payload {
+            Payload::Dataplane(p) => p,
+            other => panic!("not a dataplane payload: {}", other.name()),
         }
     }
 
@@ -626,41 +727,40 @@ mod tests {
     fn dataplane_report_round_trips_and_validates() {
         let r = sample_dataplane_report();
         r.validate().unwrap();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: DataplaneBenchReport = serde_json::from_str(&json).unwrap();
-        back.validate().unwrap();
-        assert_eq!(back.trials.len(), 1);
-        assert_eq!(back.n_user_flows, 624_318);
+        let mut back = round_trip(&r);
+        assert_eq!(dataplane(&mut back).trials.len(), 1);
+        assert_eq!(dataplane(&mut back).n_user_flows, 624_318);
     }
 
     #[test]
     fn dataplane_validation_rejects_malformed_reports() {
         let mut r = sample_dataplane_report();
-        r.bench = "ctrl".into();
+        dataplane(&mut r).trials.clear();
         assert!(r.validate().is_err());
 
         let mut r = sample_dataplane_report();
-        r.trials.clear();
+        let t = &mut dataplane(&mut r).trials[0];
+        t.packets_delivered = t.packets_injected + 1;
         assert!(r.validate().is_err());
 
         let mut r = sample_dataplane_report();
-        r.trials[0].packets_delivered = r.trials[0].packets_injected + 1;
+        dataplane(&mut r).trials[0].events_per_sec = f64::NAN;
         assert!(r.validate().is_err());
 
         let mut r = sample_dataplane_report();
-        r.trials[0].events_per_sec = f64::NAN;
+        dataplane(&mut r).events_per_sec = 0.0;
         assert!(r.validate().is_err());
 
         let mut r = sample_dataplane_report();
-        r.events_per_sec = 0.0;
+        dataplane(&mut r).availability = 1.5;
         assert!(r.validate().is_err());
 
         let mut r = sample_dataplane_report();
-        r.availability = 1.5;
+        dataplane(&mut r).n_user_flows = 3;
         assert!(r.validate().is_err());
 
         let mut r = sample_dataplane_report();
-        r.n_user_flows = 3;
+        r.scale.n_bps = 0;
         assert!(r.validate().is_err());
     }
 }

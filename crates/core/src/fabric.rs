@@ -35,7 +35,6 @@ pub struct ForwardingState {
     n_routers: usize,
     /// `next[src][dst]` = (link to take, next router), or None.
     next: Vec<Vec<Option<(LinkId, RouterId)>>>,
-    active: LinkSet,
 }
 
 impl ForwardingState {
@@ -68,12 +67,7 @@ impl ForwardingState {
                 *slot = hop;
             }
         }
-        Self { n_routers: n, next, active: active.clone() }
-    }
-
-    /// The active links this state was installed from.
-    pub fn active(&self) -> &LinkSet {
-        &self.active
+        Self { n_routers: n, next }
     }
 
     /// Next hop from `at` toward `dst`.

@@ -23,6 +23,7 @@ use poc_flow::{Constraint, LinkSet};
 use poc_topology::{PocTopology, RouterId};
 use poc_traffic::TrafficMatrix;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// POC operating parameters.
 #[derive(Clone, Debug)]
@@ -129,11 +130,14 @@ pub struct Poc {
     registry: Registry,
     ledger: Ledger,
     leases: LeaseBook,
-    fabric: Option<ForwardingState>,
     /// The link set the fabric is installed on. Normally the last
     /// outcome's selection; during a lease transition it tracks the
     /// plan's intermediate set step by step.
     active_set: Option<LinkSet>,
+    /// Forwarding tables over `active_set`, built on first use after the
+    /// set last changed (transition steps change it far more often than
+    /// anything reads the tables).
+    fabric: OnceLock<ForwardingState>,
     engine: NeutralityEngine,
     violations: Vec<(EntityId, Verdict)>,
     last_outcome: Option<AuctionOutcome>,
@@ -170,8 +174,8 @@ impl Poc {
             registry,
             ledger: Ledger::new(),
             leases: LeaseBook::new(),
-            fabric: None,
             active_set: None,
+            fabric: OnceLock::new(),
             engine: NeutralityEngine::new(),
             violations: Vec::new(),
             last_outcome: None,
@@ -195,8 +199,25 @@ impl Poc {
         &self.leases
     }
 
+    /// Forwarding tables over the installed link set.
     pub fn fabric(&self) -> Option<&ForwardingState> {
-        self.fabric.as_ref()
+        let set = self.active_set.as_ref()?;
+        Some(self.fabric.get_or_init(|| ForwardingState::install(&self.topo, set)))
+    }
+
+    /// Install `set` as the live link set; its tables are rebuilt on the
+    /// next [`Poc::fabric`] read.
+    fn install(&mut self, set: Option<LinkSet>) {
+        self.active_set = set;
+        self.fabric = OnceLock::new();
+    }
+
+    /// The installed link set (empty if none), for an in-place step;
+    /// drops the tables built over the old set.
+    fn installed_mut(&mut self) -> &mut LinkSet {
+        self.fabric = OnceLock::new();
+        let n = self.topo.n_links();
+        self.active_set.get_or_insert_with(|| LinkSet::empty(n))
     }
 
     pub fn last_outcome(&self) -> Option<&AuctionOutcome> {
@@ -251,8 +272,7 @@ impl Poc {
         let outcome = self.compute_auction_outcome(tm)?;
         self.leases.ingest_auction(&self.topo, &outcome, self.period);
         self.leases.mark_reauctioned();
-        self.fabric = Some(ForwardingState::install(&self.topo, &outcome.selected));
-        self.active_set = Some(outcome.selected.clone());
+        self.install(Some(outcome.selected.clone()));
         self.last_outcome = Some(outcome);
         Ok(self.last_outcome.as_ref().expect("just set"))
     }
@@ -283,11 +303,7 @@ impl Poc {
                 Err(e) => return Err(e),
             }
         }
-        let mut set =
-            self.active_set.clone().unwrap_or_else(|| LinkSet::empty(self.topo.links.len()));
-        set.insert(link);
-        self.fabric = Some(ForwardingState::install(&self.topo, &set));
-        self.active_set = Some(set);
+        self.installed_mut().insert(link);
         Ok(())
     }
 
@@ -304,11 +320,7 @@ impl Poc {
             Ok(_) | Err(LeaseOpError::NoActiveLease { .. }) => {}
             Err(e) => return Err(e),
         }
-        let mut set =
-            self.active_set.clone().unwrap_or_else(|| LinkSet::empty(self.topo.links.len()));
-        set.remove(link);
-        self.fabric = Some(ForwardingState::install(&self.topo, &set));
-        self.active_set = Some(set);
+        self.installed_mut().remove(link);
         Ok(())
     }
 
@@ -317,8 +329,7 @@ impl Poc {
     /// clears the re-auction flag and records the outcome as current.
     pub fn commit_transition(&mut self, outcome: AuctionOutcome) {
         self.leases.mark_reauctioned();
-        self.fabric = Some(ForwardingState::install(&self.topo, &outcome.selected));
-        self.active_set = Some(outcome.selected.clone());
+        self.install(Some(outcome.selected.clone()));
         self.last_outcome = Some(outcome);
     }
 
@@ -326,8 +337,7 @@ impl Poc {
     /// when no step-by-step safe plan exists; also used by recovery to
     /// restore the pre-transition set in one install).
     pub fn force_install(&mut self, links: &LinkSet) {
-        self.fabric = Some(ForwardingState::install(&self.topo, links));
-        self.active_set = Some(links.clone());
+        self.install(Some(links.clone()));
     }
 
     pub fn config(&self) -> &PocConfig {
@@ -481,9 +491,7 @@ impl Poc {
         self.ledger = ledger;
         self.leases = leases;
         self.violations = violations;
-        self.fabric =
-            last_outcome.as_ref().map(|o| ForwardingState::install(&self.topo, &o.selected));
-        self.active_set = last_outcome.as_ref().map(|o| o.selected.clone());
+        self.install(last_outcome.as_ref().map(|o| o.selected.clone()));
         self.last_outcome = last_outcome;
         self.period = period;
     }
@@ -494,7 +502,7 @@ impl Poc {
         from: EntityId,
         to: EntityId,
     ) -> Result<Option<Vec<poc_topology::LinkId>>, PocError> {
-        let fabric = self.fabric.as_ref().ok_or(PocError::NoFabric)?;
+        let fabric = self.fabric().ok_or(PocError::NoFabric)?;
         let (Some(a), Some(b)) =
             (self.registry.attachment_router(from), self.registry.attachment_router(to))
         else {

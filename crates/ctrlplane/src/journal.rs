@@ -534,15 +534,14 @@ pub fn scan(path: &Path) -> std::io::Result<ScanResult> {
 // The journal (append path)
 // ---------------------------------------------------------------------------
 
-/// The append handle. One per running server; appends happen under the
-/// controller state lock, so the journal itself needs no locking.
+/// The append handle. It never syncs on its own: [`GroupJournal`], its
+/// one owner, decides when appends become durable, and callers that need
+/// a barrier call [`Journal::sync`].
 pub struct Journal {
     file: File,
     path: PathBuf,
-    policy: FsyncPolicy,
-    last_sync: Instant,
-    /// Appends since the last explicit sync (drives `Interval` syncs
-    /// and the `ctrl.journal.fsyncs` metric).
+    /// Appends since the last explicit sync (drives the
+    /// `ctrl.journal.fsyncs` metric).
     unsynced: u64,
     /// Byte length of the file after the last complete append, tracked
     /// arithmetically so the group-commit leader can record (and roll
@@ -553,29 +552,21 @@ pub struct Journal {
 impl Journal {
     /// Open `path` for appending, first truncating it to `valid_len`
     /// (the scan result) so a torn tail never precedes fresh records.
-    pub fn open(path: &Path, valid_len: u64, policy: FsyncPolicy) -> std::io::Result<Self> {
+    pub fn open(path: &Path, valid_len: u64) -> std::io::Result<Self> {
         let file =
             OpenOptions::new().create(true).truncate(false).read(true).write(true).open(path)?;
         file.set_len(valid_len)?;
         let mut file = file;
         file.seek(SeekFrom::Start(valid_len))?;
-        Ok(Self {
-            file,
-            path: path.to_path_buf(),
-            policy,
-            last_sync: Instant::now(),
-            unsynced: 0,
-            end_pos: valid_len,
-        })
+        Ok(Self { file, path: path.to_path_buf(), unsynced: 0, end_pos: valid_len })
     }
 
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// Append one record, honouring the fsync policy and any armed
-    /// crash point. On success the record is at least OS-buffered (and
-    /// durable under `FsyncPolicy::Always`).
+    /// Append one record, honouring any armed crash point. On success
+    /// the record is OS-buffered; it is durable after the next sync.
     pub fn append(
         &mut self,
         record: &JournalRecord,
@@ -606,15 +597,6 @@ impl Journal {
         poc_obs::counter!("ctrl.journal.appends").inc();
         poc_obs::counter!("ctrl.journal.bytes").add(frame.len() as u64);
         self.unsynced += 1;
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::Interval(d) => {
-                if self.last_sync.elapsed() >= d {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
 
         if crash.fire_if(CrashPoint::AfterAppend) {
             // Record durable, reply never sent: the exactly-once case.
@@ -632,7 +614,6 @@ impl Journal {
             poc_obs::counter!("ctrl.journal.fsyncs").inc();
         }
         self.unsynced = 0;
-        self.last_sync = Instant::now();
         Ok(())
     }
 
@@ -644,7 +625,6 @@ impl Journal {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.file.sync_data()?;
-        self.last_sync = Instant::now();
         self.unsynced = 0;
         self.end_pos = 0;
         Ok(())
@@ -660,7 +640,6 @@ impl Journal {
         self.file.sync_data()?;
         self.end_pos = len;
         self.unsynced = 0;
-        self.last_sync = Instant::now();
         Ok(())
     }
 
@@ -754,9 +733,8 @@ pub struct GroupJournal {
 
 impl GroupJournal {
     /// Open `path` at its scanned `valid_len`. `next_seq` seeds the
-    /// sequence counter (recovery's `last_seq + 1`). The inner journal
-    /// is opened with [`FsyncPolicy::Never`]: the commit protocol owns
-    /// all syncing.
+    /// sequence counter (recovery's `last_seq + 1`). The commit protocol
+    /// owns all syncing; the inner [`Journal`] never syncs on its own.
     pub fn open(
         path: &Path,
         valid_len: u64,
@@ -764,7 +742,7 @@ impl GroupJournal {
         next_seq: u64,
         fault: FsyncFault,
     ) -> std::io::Result<Self> {
-        let journal = Journal::open(path, valid_len, FsyncPolicy::Never)?;
+        let journal = Journal::open(path, valid_len)?;
         let sync_handle = journal.file.try_clone()?;
         Ok(Self {
             appender: Mutex::new(Appender { journal, next_seq }),
@@ -1019,10 +997,11 @@ mod tests {
     }
 
     fn write_all(path: &Path, events: &[JournalEvent]) {
-        let mut j = Journal::open(path, 0, FsyncPolicy::Always).unwrap();
+        let mut j = Journal::open(path, 0).unwrap();
         for (i, e) in events.iter().enumerate() {
             j.append(&rec(i as u64 + 1, e.clone()), &CrashSwitch::new()).unwrap();
         }
+        j.sync().unwrap();
     }
 
     #[test]
@@ -1133,8 +1112,9 @@ mod tests {
         assert!(s.torn_tail);
 
         // Re-open at the valid prefix and append a fresh record.
-        let mut j = Journal::open(&path, s.valid_len, FsyncPolicy::Always).unwrap();
+        let mut j = Journal::open(&path, s.valid_len).unwrap();
         j.append(&rec(99, JournalEvent::RunAuction), &CrashSwitch::new()).unwrap();
+        j.sync().unwrap();
         let s2 = scan(&path).unwrap();
         assert!(!s2.torn_tail, "tail was truncated before appending");
         assert_eq!(s2.records.len(), events.len());
@@ -1149,7 +1129,7 @@ mod tests {
         let crash = CrashSwitch::new();
         crash.arm(CrashPoint::MidAppend);
         let s0 = scan(&path).unwrap();
-        let mut j = Journal::open(&path, s0.valid_len, FsyncPolicy::Always).unwrap();
+        let mut j = Journal::open(&path, s0.valid_len).unwrap();
         let err = j.append(&rec(3, JournalEvent::RunBilling), &crash).unwrap_err();
         assert!(matches!(err, JournalError::Crashed(CrashPoint::MidAppend)), "{err:?}");
 
@@ -1163,7 +1143,7 @@ mod tests {
         let path = tmp("truncate");
         write_all(&path, &sample_events());
         let s = scan(&path).unwrap();
-        let mut j = Journal::open(&path, s.valid_len, FsyncPolicy::Never).unwrap();
+        let mut j = Journal::open(&path, s.valid_len).unwrap();
         j.truncate_to_empty().unwrap();
         assert!(j.is_empty().unwrap());
         j.append(&rec(7, JournalEvent::RunAuction), &CrashSwitch::new()).unwrap();

@@ -2,9 +2,9 @@
 //!
 //! The server core is a sharded, high-fanout pipeline:
 //!
-//! * **sharded accept** — `accept_shards` threads block in `accept()`
-//!   on clones of one listener, each feeding a bounded pool of
-//!   connection threads (the kernel load-balances wakeups);
+//! * **thread per connection** — one accept loop hands each accepted
+//!   connection (up to `max_connections`) to its own thread; connections
+//!   are persistent, so `accept()` is off the request path;
 //! * **admission control** — every request that does real work passes
 //!   an admission gate bounding the number of requests in flight
 //!   (`max_queue`); over the bound the server answers a typed
@@ -23,8 +23,8 @@
 //!   behind a commit leader so K mutations cost ~1 fsync instead of K.
 //!
 //! Shutdown is cooperative via an [`AtomicBool`]:
-//! [`ServerHandle::shutdown`] sets the flag and pokes each accept
-//! thread with a throwaway connection; connection threads observe the
+//! [`ServerHandle::shutdown`] sets the flag and pokes the accept
+//! loop with a throwaway connection; connection threads observe the
 //! flag between read attempts (reads run under a short timeout so a
 //! parked thread notices within ~100 ms).
 //!
@@ -106,8 +106,6 @@ pub struct ServerConfig {
     /// Admission bound: maximum requests in flight before the server
     /// answers [`Response::Busy`].
     pub max_queue: usize,
-    /// Threads blocked in `accept()` on clones of the listener; ≥ 1.
-    pub accept_shards: usize,
     /// Fsync fault injector for the group-commit path. Tests keep a
     /// clone and arm it; production leaves it unarmed.
     pub fsync_fault: FsyncFault,
@@ -123,7 +121,6 @@ impl Default for ServerConfig {
             crash: CrashSwitch::new(),
             shards: 8,
             max_queue: 1024,
-            accept_shards: 2,
             fsync_fault: FsyncFault::new(),
         }
     }
@@ -201,19 +198,16 @@ pub struct PocServer {
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicI64>,
-    accept_shards: usize,
     pub local_addr: SocketAddr,
 }
 
 impl ServerHandle {
-    /// Signal the server (accept loops + connections) to stop.
+    /// Signal the server (accept loop + connections) to stop.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept threads: each is parked in accept(), so hand
-        // every one a throwaway connection to observe the flag.
-        for _ in 0..self.accept_shards {
-            let _ = TcpStream::connect(self.local_addr);
-        }
+        // The accept loop is parked in accept(): hand it a throwaway
+        // connection so it observes the flag.
+        let _ = TcpStream::connect(self.local_addr);
     }
 
     /// Connections currently being served by *this* server (the
@@ -272,7 +266,6 @@ impl PocServer {
                 .map_err(|e| std::io::Error::other(e.to_string()))?;
         }
         poc_obs::gauge!("ctrl.shards").set(shared.state.n_shards() as f64);
-        let accept_shards = config.accept_shards.max(1);
         Ok((
             Self {
                 listener,
@@ -281,34 +274,16 @@ impl PocServer {
                 active: Arc::clone(&active),
                 config,
             },
-            ServerHandle { shutdown, active, accept_shards, local_addr },
+            ServerHandle { shutdown, active, local_addr },
         ))
     }
 
-    /// Accept-and-serve until shutdown. Returns once every accept loop
+    /// Accept-and-serve until shutdown. Returns once the accept loop
     /// has stopped and every connection thread has exited; the time
     /// spent draining those threads is recorded in the
     /// `ctrl.shutdown.drain` histogram.
     pub fn run(self) {
-        let extra: Vec<TcpListener> = (1..self.config.accept_shards.max(1))
-            .filter_map(|_| self.listener.try_clone().ok())
-            .collect();
-        let shared = &self.shared;
-        let shutdown = &self.shutdown;
-        let active = &self.active;
-        let config = &self.config;
-        std::thread::scope(|s| {
-            let siblings: Vec<_> = extra
-                .iter()
-                .map(|l| s.spawn(move || accept_loop(l, shared, shutdown, active, config)))
-                .collect();
-            accept_loop(&self.listener, shared, shutdown, active, config);
-            let drain_started = Instant::now();
-            for sib in siblings {
-                let _ = sib.join();
-            }
-            poc_obs::histogram!("ctrl.shutdown.drain").record_duration(drain_started.elapsed());
-        });
+        accept_loop(&self.listener, &self.shared, &self.shutdown, &self.active, &self.config);
         // Shutdown barrier: whatever the fsync policy deferred reaches
         // the platter before the process exits cleanly.
         if let Some(d) = &self.shared.durability {
@@ -317,8 +292,8 @@ impl PocServer {
     }
 }
 
-/// One accept thread: accept, reap, cap-check, spawn a connection
-/// worker. Joins its own workers before returning (shutdown drain).
+/// The accept loop: accept, reap, cap-check, spawn a connection worker.
+/// Joins its workers before returning (shutdown drain).
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
@@ -345,8 +320,8 @@ fn accept_loop(
                 if reaped > 0 {
                     poc_obs::counter!("ctrl.conn.reaped").add(reaped as u64);
                 }
-                // CAS the active count upward so concurrent accept
-                // threads can never jointly overshoot the cap.
+                // CAS the active count upward while exiting workers
+                // count it down.
                 if !try_reserve_slot(active, config.max_connections as i64) {
                     reject_over_capacity(stream, config);
                     continue;
@@ -374,9 +349,11 @@ fn accept_loop(
             }
         }
     }
+    let drain_started = Instant::now();
     for w in workers {
         let _ = w.join();
     }
+    poc_obs::histogram!("ctrl.shutdown.drain").record_duration(drain_started.elapsed());
 }
 
 /// Reserve one connection slot iff the cap allows it (CAS loop, updates
@@ -635,10 +612,8 @@ fn serve_connection(
                 poc_obs::counter!("ctrl.crash.injected").inc();
                 flag.store(true, Ordering::SeqCst);
                 if let Ok(addr) = stream.local_addr() {
-                    // Wake every accept thread so they observe the flag.
-                    for _ in 0..config.accept_shards.max(1) {
-                        let _ = TcpStream::connect(addr);
-                    }
+                    // Wake the accept loop so it observes the flag.
+                    let _ = TcpStream::connect(addr);
                 }
                 return Ok(());
             }

@@ -99,7 +99,6 @@ commands:
                                          concurrent writers (default 8)
         [--max-queue N]                  admitted requests in flight before the
                                          server answers Busy (default 1024)
-        [--accept-shards N]              threads blocked in accept() (default 2)
         [--state-dir PATH]               journal + snapshots here; recover on start
                                          (default: in-memory only, state dies with
                                          the process)
@@ -665,12 +664,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         }
         config.max_queue = n;
     }
-    if let Some(n) = num_opt::<usize>(rest, "--accept-shards")? {
-        if n == 0 {
-            return Err("--accept-shards must be at least 1".into());
-        }
-        config.accept_shards = n;
-    }
     if let Some(dir) = opt(rest, "--state-dir") {
         let mut durability = public_option_core::ctrlplane::DurabilityConfig::new(dir);
         if let Some(policy) = opt(rest, "--fsync") {
@@ -708,8 +701,8 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         config.max_connections, config.idle_timeout, config.write_timeout
     );
     println!(
-        "pipeline: {} usage shards, {} requests in flight before Busy, {} accept threads",
-        config.shards, config.max_queue, config.accept_shards
+        "pipeline: {} usage shards, {} requests in flight before Busy",
+        config.shards, config.max_queue
     );
     match &config.durability {
         Some(d) => println!(
